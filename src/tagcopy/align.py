@@ -15,6 +15,20 @@ the lexical table (optionally variational Bayes with a symmetric Dirichlet
 prior). Theta support is restricted to co-occurring word pairs, plus
 (NULL, f) for every emitted word f, and starts uniform per row.
 
+Array layout
+------------
+Tokens map to integer ids over the sorted conditioning and emitted
+vocabularies, and theta is one flat float64 array over its support, keyed
+by ``e_id * len(emitted vocabulary) + f_id`` in ascending order, i.e. in
+(e, f) string order (see :class:`Theta`). A corpus is scored as cells, one
+per (emitted position, conditioning position or NULL): pairs are grouped
+by shape (m, n) in sorted shape order, and each group is a (pairs, m, n+1)
+block of theta indices with NULL in the last column. An EM iteration is a
+gather of theta over the cells, a sum per emitted token and one
+``np.bincount`` of the posteriors back onto theta; Viterbi is an argmax
+over the same blocks. numpy is imported only by the functions that
+compute, so reading and writing Pharaoh files does not load it.
+
 File formats
 ------------
 Alignments use Pharaoh format: one line per sentence pair, space-separated
@@ -24,7 +38,12 @@ same model.
 """
 
 import math
+from array import array
+from bisect import bisect_left
+from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import count
 
 from .corpus import ParallelCorpus, SentencePair
 from .errors import (
@@ -44,26 +63,115 @@ REVERSE = "tgt-src"
 
 HEURISTICS = ("intersection", "union", "grow-diag-final-and")
 
-_EMPTY_ROW: dict[str, float] = {}
+# streaming a model dump: entries formatted per write, and bytes of lines
+# parsed per read
+_SAVE_ENTRIES = 1 << 12
+_LOAD_BYTES = 1 << 17
+
+
+def _ids(vocab: list[str]) -> dict[str, int]:
+    return {w: k for k, w in enumerate(vocab)}
+
+
+class Theta(Mapping):
+    """The lexical table as flat arrays, readable as ``theta[e][f]``.
+
+    ``cond`` and ``emit`` are the sorted conditioning and emitted
+    vocabularies; a token's id is its position. Entry k pairs
+    ``cond[pair_keys[k] // len(emit)]`` with ``emit[pair_keys[k] %
+    len(emit)]`` and has probability ``probs[k]`` (float64); ``pair_keys``
+    (int64) is strictly ascending. The mapping view is read-only: training
+    updates ``probs`` in place.
+    """
+
+    def __init__(self, cond: list[str], emit: list[str], pair_keys, probs):
+        import numpy as np
+
+        self.cond = cond
+        self.emit = emit
+        self.pair_keys = pair_keys
+        self.probs = probs
+        self.cond_id = _ids(cond)
+        self.emit_id = _ids(emit)
+        # the entries of row r are [row_start[r], row_start[r + 1])
+        bounds = np.arange(len(cond) + 1) * len(emit)
+        self.row_start = np.searchsorted(pair_keys, bounds).tolist()
+
+    @classmethod
+    def from_rows(cls, rows: Mapping) -> "Theta":
+        """Build from a mapping ``e -> {f: probability}``."""
+        import numpy as np
+
+        cond = sorted(rows)
+        emit = sorted({f for row in rows.values() for f in row})
+        emit_id = _ids(emit)
+        keys, values = [], []
+        for r, e in enumerate(cond):
+            for f, p in sorted(rows[e].items()):
+                keys.append(r * len(emit) + emit_id[f])
+                values.append(p)
+        return cls(cond, emit, np.array(keys, dtype=np.int64), np.array(values, dtype=np.float64))
+
+    def __getitem__(self, e: str) -> "_Row":
+        return _Row(self, self.cond_id[e])
+
+    def __iter__(self):
+        return iter(self.cond)
+
+    def __len__(self) -> int:
+        return len(self.cond)
+
+
+class _Row(Mapping):
+    """Read-only ``f -> probability`` view of one theta row."""
+
+    def __init__(self, theta: Theta, r: int):
+        self._theta = theta
+        self._lo = theta.row_start[r]
+        self._hi = theta.row_start[r + 1]
+        self._base = r * len(theta.emit)
+
+    def __getitem__(self, f: str) -> float:
+        t = self._theta
+        c = t.emit_id.get(f)
+        if c is not None:
+            key = self._base + c
+            k = bisect_left(t.pair_keys, key, self._lo, self._hi)
+            if k < self._hi and t.pair_keys[k] == key:
+                return float(t.probs[k])
+        raise KeyError(f)
+
+    def __iter__(self):
+        emit = self._theta.emit
+        return (emit[k - self._base] for k in self._theta.pair_keys[self._lo:self._hi].tolist())
+
+    def __len__(self) -> int:
+        return self._hi - self._lo
 
 
 @dataclass
 class AlignModel:
     """Lexical table plus the two prior hyperparameters.
 
-    ``theta[e][f]`` is the probability of emitting f conditioned on e.
-    ``perplexity_history`` holds the training perplexity observed at the
-    start of each EM iteration (i.e. under the parameters entering it).
+    ``theta[e][f]`` is the probability of emitting f conditioned on e; a
+    plain ``e -> {f: p}`` mapping passed in is converted to a
+    :class:`Theta`. ``perplexity_history`` holds the training perplexity
+    observed at the start of each EM iteration (i.e. under the parameters
+    entering it).
     """
 
-    theta: dict[str, dict[str, float]]
+    theta: Theta
     tension: float
     p0: float
     direction: str = FORWARD
     perplexity_history: list[float] = field(default_factory=list)
 
+    def __post_init__(self):
+        if not isinstance(self.theta, Theta):
+            self.theta = Theta.from_rows(self.theta)
+
     def prob(self, e: str, f: str) -> float:
-        return self.theta.get(e, _EMPTY_ROW).get(f, 0.0)
+        return self.theta[e].get(f, 0.0) if e in self.theta else 0.0
 
 
 @dataclass
@@ -74,42 +182,99 @@ class AlignmentVector:
     n_conditioning: int
 
 
-class _DiagonalPrior:
-    """Position prior rows, cached by (emitted length, conditioning length)."""
-
-    def __init__(self, tension: float, p0: float):
-        self.tension = tension
-        self.p0 = p0
-        self._cache: dict[tuple[int, int], list[list[float]]] = {}
-
-    def rows(self, m: int, n: int) -> list[list[float]]:
-        """One row per emitted position j; NULL mass (p0) is not included."""
-        rows = self._cache.get((m, n))
-        if rows is None:
-            rows = []
-            for j in range(m):
-                w = [math.exp(self.tension * -abs((i + 1) / n - (j + 1) / m)) for i in range(n)]
-                scale = (1.0 - self.p0) / sum(w)
-                rows.append([x * scale for x in w])
-            self._cache[(m, n)] = rows
-        return rows
-
-
-_PRIOR_CACHE: dict[tuple[float, float], _DiagonalPrior] = {}
-
-
-def _prior_for(tension: float, p0: float) -> _DiagonalPrior:
-    prior = _PRIOR_CACHE.get((tension, p0))
-    if prior is None:
-        prior = _PRIOR_CACHE[(tension, p0)] = _DiagonalPrior(tension, p0)
-    return prior
-
-
 def _sides(pair: SentencePair, direction: str):
     """(conditioning tokens, emitted tokens) for the given direction."""
     if direction == FORWARD:
         return pair.src, pair.tgt
     return pair.tgt, pair.src
+
+
+def _prior(m: int, n: int, tension: float, p0: float):
+    """(m, n + 1) prior of shape (m, n): row j over the conditioning
+    positions, then p0 in the NULL column."""
+    import numpy as np
+
+    rows = []
+    for j in range(m):
+        w = [math.exp(tension * -abs((i + 1) / n - (j + 1) / m)) for i in range(n)]
+        scale = (1.0 - p0) / sum(w)
+        rows.append([x * scale for x in w] + [p0])
+    return np.array(rows, dtype=np.float64).reshape(m, n + 1)
+
+
+def _shapes(pairs, direction: str):
+    """``(m, n, pair indices)`` per sentence shape, in sorted shape order."""
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for k, pair in enumerate(pairs):
+        cond, emit = _sides(pair, direction)
+        by_shape.setdefault((len(emit), len(cond)), []).append(k)
+    return [(m, n, by_shape[m, n]) for m, n in sorted(by_shape)]
+
+
+def _cell_keys(pairs, ids, direction: str, cond_id: dict, emit_id: dict):
+    """Theta keys of the cells of same-shape pairs, a (pairs, m, n + 1)
+    int64 array with NULL last; -1 where a token is outside the vocabulary."""
+    import numpy as np
+
+    sides = [_sides(pairs[k], direction) for k in ids]
+    null = cond_id.get(NULL_WORD, -1)
+    c = np.array([[cond_id.get(w, -1) for w in cond] + [null] for cond, _ in sides],
+                 dtype=np.int64)
+    e = np.array([[emit_id.get(w, -1) for w in emit] for _, emit in sides], dtype=np.int64)
+    keys = c[:, None, :] * len(emit_id) + e[:, :, None]
+    keys[(c < 0)[:, None, :] | (e < 0)[:, :, None]] = -1
+    return keys
+
+
+class _Cells:
+    """Every cell of a corpus as a theta index, grouped by shape.
+
+    Shape group (m, n) covers ``index[lo:hi]``, viewed as (pairs, m, n + 1).
+    A cell whose (e, f) is not in theta gets index ``len(theta.probs)``,
+    which scores 0.
+    """
+
+    def __init__(self, pairs, direction: str, theta: Theta, tension: float, p0: float):
+        import numpy as np
+
+        shapes = _shapes(pairs, direction)
+        self.index = np.empty(sum(len(ids) * m * (n + 1) for m, n, ids in shapes), dtype=np.int32)
+        self.shapes = []
+        theta_keys = theta.pair_keys
+        padded = np.append(theta_keys, -2)  # the past-the-end slot matches no key
+        lo = 0
+        for m, n, ids in shapes:
+            keys = _cell_keys(pairs, ids, direction, theta.cond_id, theta.emit_id).ravel()
+            hi = lo + keys.size
+            pos = np.searchsorted(theta_keys, keys)
+            self.index[lo:hi] = np.where(padded[pos] == keys, pos, len(theta_keys))
+            self.shapes.append((m, n, ids, lo, hi, _prior(m, n, tension, p0)))
+            lo = hi
+
+    def blocks(self, probs, out=None):
+        """Yield ``(m, n, pair indices, block)`` per shape, the block holding
+        prior times theta of the group's cells as a (pairs, m, n + 1) array;
+        with ``out`` (one float64 per cell) the blocks are views into it."""
+        import numpy as np
+
+        padded = np.append(probs, 0.0)
+        for m, n, ids, lo, hi, prior in self.shapes:
+            block = np.take(padded, self.index[lo:hi], mode="clip",
+                            out=None if out is None else out[lo:hi])
+            block = block.reshape(len(ids), m, n + 1)
+            block *= prior
+            yield m, n, ids, block
+
+
+def _distinct(a):
+    """Sorted distinct values of an integer array. A sort, because
+    ``np.unique`` builds a hash table several times the array's size."""
+    import numpy as np
+
+    a = np.sort(a, axis=None)
+    first = np.ones(a.size, dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return a[first]
 
 
 def train_alignment(
@@ -143,70 +308,73 @@ def train_alignment(
         raise InvalidParams(f"alpha must be > 0 in vb mode, got {alpha}")
     if direction not in (FORWARD, REVERSE):
         raise InvalidParams(f"unknown direction {direction!r}")
+    import numpy as np
 
-    theta: dict[str, dict[str, float]] = {NULL_WORD: {}}
-    for pair in corpus.pairs:
-        cond, emit = _sides(pair, direction)
-        null_row = theta[NULL_WORD]
-        for f in emit:
-            null_row[f] = 0.0
-        for e in cond:
-            row = theta.setdefault(e, {})
-            for f in emit:
-                row[f] = 0.0
-    for row in theta.values():
-        uniform = 1.0 / len(row)
-        for f in row:
-            row[f] = uniform
-
-    model = AlignModel(theta, tension, p0, direction)
-    prior = _prior_for(tension, p0)
+    cond = sorted({e for p in corpus.pairs for e in _sides(p, direction)[0]} | {NULL_WORD})
+    emit = sorted({f for p in corpus.pairs for f in _sides(p, direction)[1]})
+    cond_id, emit_id = _ids(cond), _ids(emit)
+    # the support is every key some cell reaches; rows start uniform
+    keys = _distinct(np.concatenate([
+        _distinct(_cell_keys(corpus.pairs, ids, direction, cond_id, emit_id))
+        for _m, _n, ids in _shapes(corpus.pairs, direction)
+    ]))
+    rows = keys // len(emit)
+    probs = (1.0 / np.bincount(rows, minlength=len(cond)))[rows]
+    model = AlignModel(Theta(cond, emit, keys, probs), tension, p0, direction)
+    cells = _Cells(corpus.pairs, direction, model.theta, tension, p0)
     total_emitted = sum(len(_sides(p, direction)[1]) for p in corpus.pairs)
+    posteriors = np.empty(len(cells.index))
 
     for k in range(iterations):
-        counts = {e: dict.fromkeys(row, 0.0) for e, row in theta.items()}
-        null_row = theta[NULL_WORD]
-        null_counts = counts[NULL_WORD]
         loglik = 0.0
-        for pair in corpus.pairs:
-            cond, emit = _sides(pair, direction)
-            n = len(cond)
-            rows = prior.rows(len(emit), n)
-            for j, f in enumerate(emit):
-                prow = rows[j]
-                null_score = p0 * null_row[f]
-                scores = [prow[i] * theta[cond[i]][f] for i in range(n)]
-                z = null_score + sum(scores)
-                loglik += math.log(z)
-                inv = 1.0 / z
-                null_counts[f] += null_score * inv
-                for i in range(n):
-                    counts[cond[i]][f] += scores[i] * inv
+        for *_, block in cells.blocks(probs, posteriors):
+            z = block.sum(axis=2)
+            loglik += float(np.log(z).sum())
+            block *= np.reciprocal(z, out=z)[:, :, None]
         model.perplexity_history.append(math.exp(-loglik / total_emitted))
-        _reestimate(theta, counts, vb, alpha)
+        counts = np.bincount(cells.index, weights=posteriors, minlength=len(probs))
+        _reestimate(probs, counts, rows, len(cond), vb, alpha)
         if on_iteration is not None:
             on_iteration(k, model)
     return model
 
 
-def _reestimate(theta, counts, vb: bool, alpha: float) -> None:
+def _reestimate(probs, counts, rows, n_rows: int, vb: bool, alpha: float) -> None:
+    """M-step in place: ``rows[k]`` is the row of entry k."""
+    import numpy as np
+
+    totals = np.bincount(rows, weights=counts, minlength=n_rows)
     if vb:
         from scipy.special import digamma  # heavyweight import, only needed here
 
-        for e, crow in counts.items():
-            trow = theta[e]
-            denom = digamma(sum(crow.values()) + alpha * len(crow))
-            for f, c in crow.items():
-                trow[f] = math.exp(digamma(c + alpha) - denom)
+        denom = digamma(totals + alpha * np.bincount(rows, minlength=n_rows))
+        np.exp(digamma(counts + alpha) - denom[rows], out=probs)
         return
-    for e, crow in counts.items():
-        total = sum(crow.values())
-        if total <= 0.0:
-            continue  # e.g. the NULL row with p0 = 0: keep previous probabilities
-        inv = 1.0 / total
-        trow = theta[e]
-        for f, c in crow.items():
-            trow[f] = c * inv
+    # a row with no mass (e.g. the NULL row with p0 = 0) keeps its previous
+    # probabilities
+    live = totals > 0.0
+    inv = 1.0 / np.where(live, totals, 1.0)
+    np.copyto(probs, np.multiply(counts, inv[rows], out=counts), where=live[rows])
+
+
+def align_corpus(model: AlignModel, corpus: ParallelCorpus) -> list[AlignmentVector]:
+    """Viterbi decode of every pair (see :func:`viterbi_align`), batched
+    per sentence shape; vectors come back in corpus order."""
+    import numpy as np
+
+    for pair in corpus.pairs:
+        cond, emit = _sides(pair, model.direction)
+        if not cond or not emit:
+            raise EmptyPair(f"pair at line {pair.line_no} has an empty side")
+    cells = _Cells(corpus.pairs, model.direction, model.theta, model.tension, model.p0)
+    vectors: list = [None] * len(corpus.pairs)
+    for _m, n, ids, block in cells.blocks(model.theta.probs):
+        real = block[:, :, :n]
+        best = real.max(axis=2)
+        chosen = np.where((best > 0.0) & (best >= block[:, :, n]), real.argmax(axis=2), -1)
+        for k, links in zip(ids, chosen.tolist()):
+            vectors[k] = AlignmentVector([i if i >= 0 else None for i in links], n)
+    return vectors
 
 
 def viterbi_align(model: AlignModel, pair: SentencePair) -> AlignmentVector:
@@ -217,27 +385,7 @@ def viterbi_align(model: AlignModel, pair: SentencePair) -> AlignmentVector:
     for unseen pairs. Exact ties prefer a real position over NULL and the
     smaller position index; a word scoring zero everywhere stays NULL.
     """
-    cond, emit = _sides(pair, model.direction)
-    if not cond or not emit:
-        raise EmptyPair(f"pair at line {pair.line_no} has an empty side")
-    n = len(cond)
-    rows = _prior_for(model.tension, model.p0).rows(len(emit), n)
-    links: list[int | None] = []
-    for j, f in enumerate(emit):
-        prow = rows[j]
-        null_score = model.p0 * model.prob(NULL_WORD, f)
-        best_i = 0
-        best = -1.0
-        for i in range(n):
-            s = prow[i] * model.prob(cond[i], f)
-            if s > best:
-                best, best_i = s, i
-        links.append(best_i if best > 0.0 and best >= null_score else None)
-    return AlignmentVector(links, n)
-
-
-def align_corpus(model: AlignModel, corpus: ParallelCorpus) -> list[AlignmentVector]:
-    return [viterbi_align(model, pair) for pair in corpus.pairs]
+    return align_corpus(model, ParallelCorpus([pair]))[0]
 
 
 def vector_links(vec: AlignmentVector, direction: str) -> set[tuple[int, int]]:
@@ -316,24 +464,26 @@ def corpus_perplexity(model: AlignModel, corpus: ParallelCorpus) -> float:
     """exp of the per-emitted-token negative log-likelihood (natural log)."""
     if not corpus.pairs:
         raise EmptyCorpus("no pairs to score")
-    prior = _prior_for(model.tension, model.p0)
+    import numpy as np
+
+    cells = _Cells(corpus.pairs, model.direction, model.theta, model.tension, model.p0)
     loglik = 0.0
     total = 0
-    for pair in corpus.pairs:
-        cond, emit = _sides(pair, model.direction)
-        n = len(cond)
-        rows = prior.rows(len(emit), n)
-        for j, f in enumerate(emit):
-            prow = rows[j]
-            z = model.p0 * model.prob(NULL_WORD, f)
-            for i in range(n):
-                z += prow[i] * model.prob(cond[i], f)
-            if z <= 0.0:
-                raise ZeroProbability(
-                    f"line {pair.line_no}: emitted token {j} ({f!r}) has probability 0"
-                )
-            loglik += math.log(z)
-        total += len(emit)
+    first_zero = None  # (pair index, emitted position) earliest in corpus order
+    for m, _n, ids, block in cells.blocks(model.theta.probs):
+        total += m * len(ids)
+        z = block.sum(axis=2)
+        zero = np.argwhere(z <= 0.0)
+        if len(zero):
+            at = (ids[zero[0][0]], int(zero[0][1]))
+            first_zero = at if first_zero is None else min(first_zero, at)
+        else:
+            loglik += float(np.log(z).sum())
+    if first_zero is not None:
+        k, j = first_zero
+        pair = corpus.pairs[k]
+        f = _sides(pair, model.direction)[1][j]
+        raise ZeroProbability(f"line {pair.line_no}: emitted token {j} ({f!r}) has probability 0")
     return math.exp(-loglik / total)
 
 
@@ -356,31 +506,75 @@ def read_pharaoh(path) -> list[set[tuple[int, int]]]:
 
 
 def save_model(model: AlignModel, path) -> None:
-    """Text dump of the model; floats are written with repr so that loading
-    restores bit-identical values."""
+    """Text dump of the model, streamed from the arrays in (e, f) order;
+    floats are written with repr so that loading restores bit-identical
+    values."""
+    theta = model.theta
+    cond, emit = theta.cond, theta.emit
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"direction\t{model.direction}\n")
         f.write(f"tension\t{model.tension!r}\n")
         f.write(f"p0\t{model.p0!r}\n")
-        for e in sorted(model.theta):
-            row = model.theta[e]
-            for t in sorted(row):
-                f.write(f"{e}\t{t}\t{row[t]!r}\n")
+        for lo in range(0, len(theta.pair_keys), _SAVE_ENTRIES):
+            rows, cols = divmod(theta.pair_keys[lo:lo + _SAVE_ENTRIES], len(emit))
+            f.write("\n".join(map("\t".join, zip(
+                map(cond.__getitem__, rows.tolist()),
+                map(emit.__getitem__, cols.tolist()),
+                map(repr, theta.probs[lo:lo + _SAVE_ENTRIES].tolist()),
+            ))))
+            f.write("\n")
+
+
+def _sorted_ranks(first_seen: dict[str, int]):
+    """Sorted vocabulary, and the sorted rank of each first-seen id."""
+    import numpy as np
+
+    vocab = sorted(first_seen)
+    rank = np.empty(len(vocab), dtype=np.int64)
+    rank[[first_seen[w] for w in vocab]] = np.arange(len(vocab))
+    return vocab, rank
 
 
 def load_model(path) -> AlignModel:
+    """Read a model dump. Rows may come in any order; a repeated (e, f)
+    keeps its last value."""
     header: dict[str, str] = {}
-    theta: dict[str, dict[str, float]] = {}
+    # token -> id in order of first appearance
+    cond_seen: dict[str, int] = defaultdict(count().__next__)
+    emit_seen: dict[str, int] = defaultdict(count().__next__)
+    rows, cols, values = array("i"), array("i"), array("d")
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) == 2:
-                header[parts[0]] = parts[1]
-            elif len(parts) == 3:
-                e, t, p = parts
-                theta.setdefault(e, {})[t] = float(p)
+        while lines := f.readlines(_LOAD_BYTES):
+            entries = []
+            for line in lines:
+                tabs = line.count("\t")
+                if tabs == 2:
+                    entries.append(line)
+                elif tabs == 1:
+                    key, value = line.rstrip("\n").split("\t")
+                    header[key] = value
+            # the entries' fields in one flat list: e, f, p, e, f, p, ...
+            fields = "".join(entries).replace("\n", "\t").split("\t")[:3 * len(entries)]
+            rows.extend(map(cond_seen.__getitem__, fields[0::3]))
+            cols.extend(map(emit_seen.__getitem__, fields[1::3]))
+            values.extend(map(float, fields[2::3]))
+    import numpy as np
+
+    cond, cond_rank = _sorted_ranks(cond_seen)
+    emit, emit_rank = _sorted_ranks(emit_seen)
+    keys = cond_rank[np.frombuffer(rows, dtype=np.intc)]
+    keys *= len(emit)
+    keys += emit_rank[np.frombuffer(cols, dtype=np.intc)]
+    del rows, cols
+    probs = np.frombuffer(values, dtype=np.float64)
+    if not (keys[1:] > keys[:-1]).all():  # not in save_model's order
+        order = np.argsort(keys, kind="stable")
+        keys, probs = keys[order], probs[order]
+        last = np.ones(len(keys), dtype=bool)
+        last[:-1] = keys[1:] != keys[:-1]
+        keys, probs = keys[last], probs[last]
     return AlignModel(
-        theta,
+        Theta(cond, emit, keys, probs),
         float(header["tension"]),
         float(header["p0"]),
         header.get("direction", FORWARD),

@@ -90,11 +90,8 @@ def cmd_align_train(args) -> int:
 def cmd_align_apply(args) -> int:
     corpus = read_parallel(args.src, args.tgt, _profile(args))
     model = align.load_model(args.model)
-    link_sets = [
-        align.vector_links(align.viterbi_align(model, pair), model.direction)
-        for pair in corpus.pairs
-    ]
-    align.write_pharaoh(link_sets, args.out)
+    vectors = align.align_corpus(model, corpus)
+    align.write_pharaoh((align.vector_links(v, model.direction) for v in vectors), args.out)
     return 0
 
 

@@ -16,11 +16,10 @@ Annotations are stored as JSON Lines, one record per sentence:
 import json
 import logging
 import re
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-
-import requests
 
 from .corpus import TokenSeq
 from .errors import HttpError, InvalidParams, MalformedResponse
@@ -175,6 +174,10 @@ def mentions_from_response(payload: dict, sentence: TokenSeq) -> list[EntityMent
 
 
 def _default_transport(timeout: float):
+    # imported here: the HTTP stack is costly to load and only remote
+    # annotation and lookup need it
+    import requests
+
     session = requests.Session()
 
     def transport(url: str, params: dict | None):
@@ -190,9 +193,12 @@ class SpotlightClient:
     """Client for a Spotlight-style entity annotation endpoint.
 
     ``transport`` is a callable ``(url, params) -> (status_code, body_text)``
-    so tests can replay recorded responses without a network. Results are
-    cached per sentence; failed requests are retried with exponential
-    backoff before raising HttpError.
+    so tests can replay recorded responses without a network; it signals a
+    failed connection with an ``OSError`` (``requests.RequestException`` is
+    one). Results are cached per sentence, and a sentence already in flight
+    is not sent again: later callers wait for the first call's result, and a
+    failure reaches every waiter without being cached. Failed requests are
+    retried with exponential backoff before raising HttpError.
     """
 
     def __init__(
@@ -211,17 +217,33 @@ class SpotlightClient:
         self.backoff = backoff
         self._transport = transport or _default_transport(timeout)
         self._cache: dict[str, list[EntityMention]] = {}
+        self._in_flight: dict[str, Future] = {}
+        self._lock = threading.Lock()
 
     def annotate(self, sentence: TokenSeq) -> list[EntityMention]:
         text = " ".join(sentence)
         if not text:
             return []
-        cached = self._cache.get(text)
+        with self._lock:
+            cached = self._cache.get(text)
+            pending = self._in_flight.get(text)
+            if cached is None and pending is None:
+                mine = self._in_flight[text] = Future()
         if cached is not None:
             return list(cached)
-        payload = self._request(text)
-        mentions = mentions_from_response(payload, sentence)
-        self._cache[text] = mentions
+        if pending is not None:
+            return list(pending.result())
+        try:
+            mentions = mentions_from_response(self._request(text), sentence)
+        except BaseException as exc:
+            with self._lock:
+                del self._in_flight[text]
+            mine.set_exception(exc)
+            raise
+        with self._lock:
+            self._cache[text] = mentions
+            del self._in_flight[text]
+        mine.set_result(mentions)
         return list(mentions)
 
     def _request(self, text: str) -> dict:
@@ -231,7 +253,7 @@ class SpotlightClient:
         for attempt in range(self.max_retries + 1):
             try:
                 status, body = self._transport(self.endpoint, params)
-            except requests.RequestException as exc:
+            except OSError as exc:
                 last = f"request failed: {exc}"
             else:
                 if status == 200:
@@ -312,7 +334,7 @@ class RemoteHypernyms:
         url = f"{self.data_base}/{name}.json"
         try:
             status, body = self._transport(url, None)
-        except requests.RequestException as exc:
+        except OSError as exc:
             raise HttpError(f"hypernym lookup failed: {exc}") from exc
         if status != 200:
             raise HttpError(f"hypernym lookup failed: HTTP {status}")

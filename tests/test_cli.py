@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -446,3 +450,14 @@ class TestConfig:
         assert cfg.aligner.p0 == 0.08
         assert cfg.linker.confidence == 0.5
         assert cfg.resamples == 10000
+
+
+def test_cli_import_loads_neither_requests_nor_numpy():
+    # both are costly to load; only remote linking and the aligner's array
+    # code need them, so they are imported where used
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, tagcopy.cli; print(sorted({'requests', 'numpy'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

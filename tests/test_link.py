@@ -1,5 +1,7 @@
 import json
 import logging
+import threading
+import time
 
 import pytest
 import requests
@@ -246,6 +248,57 @@ class TestClient:
         sentences = [[f"w{i}", "tail"] for i in range(20)]
         results = annotate_corpus(client, sentences, max_in_flight=4)
         assert [m[0].uri for m in results] == [f"kb:w{i}" for i in range(20)]
+
+    def _race(self, transport, threads=2):
+        """Start ``threads`` callers on one sentence together; returns the
+        result or exception of each."""
+        client = SpotlightClient("http://annotator/annotate", transport=transport, backoff=0.001)
+        start = threading.Barrier(threads)
+        results = [None] * threads
+
+        def call(k):
+            start.wait(timeout=5)
+            try:
+                results[k] = client.annotate(["myanmar", "was"])
+            except HttpError as exc:
+                results[k] = exc
+
+        workers = [threading.Thread(target=call, args=(k,)) for k in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=10)
+            assert not w.is_alive()
+        return client, results
+
+    def test_sentence_in_flight_is_sent_once(self):
+        calls = []
+
+        def transport(url, params):
+            calls.append(params["text"])
+            time.sleep(0.2)  # keep the first request in flight while the other caller arrives
+            return _ok({"Resources": [
+                {"@URI": "kb:M", "@surfaceForm": "myanmar", "@offset": "0"}
+            ]})
+
+        _, results = self._race(transport)
+        assert calls == ["myanmar was"]
+        assert [[m.uri for m in r] for r in results] == [["kb:M"], ["kb:M"]]
+
+    def test_failure_reaches_every_waiter_and_is_not_cached(self):
+        calls = []
+
+        def transport(url, params):
+            calls.append(params["text"])
+            time.sleep(0.2)
+            return 404, "not found"
+
+        client, results = self._race(transport)
+        assert len(calls) == 1
+        assert all(isinstance(r, HttpError) for r in results)
+        with pytest.raises(HttpError):
+            client.annotate(["myanmar", "was"])
+        assert len(calls) == 2
 
 
 class TestHypernyms:
