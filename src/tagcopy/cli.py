@@ -16,7 +16,14 @@ import sys
 from pathlib import Path
 
 from . import align, lexicon, link, metrics, template
-from .config import LinkerParams, load_config, parse_method, parse_vocab
+from .config import (
+    AlignerParams,
+    LinkerParams,
+    check_linker,
+    load_config,
+    parse_method,
+    parse_vocab,
+)
 from .corpus import (
     NormProfile,
     read_parallel,
@@ -25,7 +32,6 @@ from .corpus import (
     write_parallel,
 )
 from .errors import ConfigError, CountMismatch, LengthMismatch, ToolkitError
-from .template import TemplateMethod
 
 log = logging.getLogger(__name__)
 
@@ -52,6 +58,52 @@ def write_token_lines(rows, path) -> None:
 
 
 # ---------------------------------------------------------------------------
+# stages, shared by their subcommands and pipeline-run
+
+
+def _train_and_save(corpus, params: AlignerParams, direction: str, path) -> align.AlignModel:
+    model = align.train_alignment(
+        corpus,
+        iterations=params.iterations,
+        tension=params.tension,
+        p0=params.p0,
+        vb=params.vb,
+        alpha=params.alpha,
+        direction=direction,
+    )
+    for k, perp in enumerate(model.perplexity_history):
+        log.info("iteration %d: perplexity %.4f", k, perp)
+    align.save_model(model, path)
+    return model
+
+
+def _decode_and_write(model: align.AlignModel, corpus, path) -> list[set[tuple[int, int]]]:
+    vectors = align.align_corpus(model, corpus)
+    links = [align.vector_links(v, model.direction) for v in vectors]
+    align.write_pharaoh(links, path)
+    return links
+
+
+def _symmetrize_and_write(fwd, rev, heuristic: str, path) -> list[set[tuple[int, int]]]:
+    merged = [align.symmetrize_links(f, r, heuristic) for f, r in zip(fwd, rev)]
+    align.write_pharaoh(merged, path)
+    return merged
+
+
+def _build_and_save_table(corpus, alignments, min_count: int, path) -> lexicon.TranslationTable:
+    table = lexicon.build_translation_table(corpus, alignments, min_count)
+    lexicon.save_table(table, path)
+    return table
+
+
+def _tag_and_write(corpus, annotations, alignments, table, method, vocab, out) -> template.TagStats:
+    """Tag with one method and write ``out``'s (src, tgt, manifest) paths."""
+    tagged, stats = template.tag_corpus(corpus, annotations, alignments, table, method, vocab)
+    template.write_tagged(tagged, *out, vocab)
+    return stats
+
+
+# ---------------------------------------------------------------------------
 # subcommands
 
 
@@ -71,27 +123,15 @@ def cmd_split(args) -> int:
 def cmd_align_train(args) -> int:
     corpus = read_parallel(args.src, args.tgt, _profile(args))
     direction = align.FORWARD if args.direction == "fwd" else align.REVERSE
-    model = align.train_alignment(
-        corpus,
-        iterations=args.iterations,
-        tension=args.tension,
-        p0=args.p0,
-        vb=args.vb,
-        alpha=args.alpha,
-        direction=direction,
-    )
-    for k, perp in enumerate(model.perplexity_history):
-        log.info("iteration %d: perplexity %.4f", k, perp)
-    align.save_model(model, args.model_out)
+    params = AlignerParams(args.iterations, args.tension, args.p0, args.vb, args.alpha)
+    model = _train_and_save(corpus, params, direction, args.model_out)
     print(f"final perplexity: {align.corpus_perplexity(model, corpus):.4f}")
     return 0
 
 
 def cmd_align_apply(args) -> int:
     corpus = read_parallel(args.src, args.tgt, _profile(args))
-    model = align.load_model(args.model)
-    vectors = align.align_corpus(model, corpus)
-    align.write_pharaoh((align.vector_links(v, model.direction) for v in vectors), args.out)
+    _decode_and_write(align.load_model(args.model), corpus, args.out)
     return 0
 
 
@@ -100,16 +140,14 @@ def cmd_symmetrize(args) -> int:
     rev = align.read_pharaoh(args.rev)
     if len(fwd) != len(rev):
         raise LengthMismatch(f"{args.fwd} has {len(fwd)} rows but {args.rev} has {len(rev)}")
-    merged = [align.symmetrize_links(f, r, args.heuristic) for f, r in zip(fwd, rev)]
-    align.write_pharaoh(merged, args.out)
+    _symmetrize_and_write(fwd, rev, args.heuristic, args.out)
     return 0
 
 
 def cmd_lexicon_build(args) -> int:
     corpus = read_parallel(args.src, args.tgt, _profile(args))
     alignments = align.read_pharaoh(args.alignments)
-    table = lexicon.build_translation_table(corpus, alignments, args.min_count)
-    lexicon.save_table(table, args.out)
+    table = _build_and_save_table(corpus, alignments, args.min_count, args.out)
     print(f"{len(table)} table entries")
     return 0
 
@@ -125,12 +163,8 @@ def _make_annotator(linker: LinkerParams):
 
 def cmd_link_annotate(args) -> int:
     endpoint = args.endpoint or os.environ.get("LINKER_ENDPOINT")
-    if args.mode == "gazetteer" and not args.gazetteer:
-        raise ConfigError("missing required option --gazetteer (mode is 'gazetteer')")
-    if args.mode == "remote" and not endpoint:
-        raise ConfigError(
-            "missing required option --endpoint (mode is 'remote'; LINKER_ENDPOINT also accepted)"
-        )
+    linker = LinkerParams(args.mode, args.gazetteer, None, endpoint, args.confidence)
+    check_linker(linker)
     profile = _profile(args)
     with open(args.src, encoding="utf-8") as f:
         lines = f.read().splitlines()
@@ -139,10 +173,7 @@ def cmd_link_annotate(args) -> int:
         tokens = tokenize_normalize(raw, profile)
         if tokens:
             sentences.append((i, tokens))
-    annotate = _make_annotator(
-        LinkerParams(args.mode, args.gazetteer, None, endpoint, args.confidence)
-    )
-    mention_lists = annotate([s for _, s in sentences])
+    mention_lists = _make_annotator(linker)([s for _, s in sentences])
     link.write_annotations(args.out, [(i, m) for (i, _), m in zip(sentences, mention_lists)])
     n = sum(1 for m in mention_lists if m)
     print(f"annotated {n}/{len(sentences)} sentences with at least one mention")
@@ -158,12 +189,7 @@ def cmd_link_hypernyms(args) -> int:
         else link.RemoteHypernyms(args.data_url)
     )
     annotations = link.read_annotations(args.annotations)
-    filled = 0
-    for mentions in annotations.values():
-        for m in mentions:
-            if m.hypernym is None:
-                m.hypernym = link.resolve_hypernym(m.uri, resolver)
-                filled += m.hypernym is not None
+    filled = link.fill_hypernyms(annotations.values(), resolver)
     link.write_annotations(args.out, sorted(annotations.items()))
     print(f"filled {filled} hypernyms")
     return 0
@@ -179,8 +205,8 @@ def cmd_tag_apply(args) -> int:
     annotations = [by_line.get(pair.line_no, []) for pair in corpus.pairs]
     alignments = align.read_pharaoh(args.alignments)
     table = lexicon.load_table(args.table)
-    tagged, stats = template.tag_corpus(corpus, annotations, alignments, table, method, vocab)
-    template.write_tagged(tagged, args.out_src, args.out_tgt, args.manifest, vocab)
+    out = (args.out_src, args.out_tgt, args.manifest)
+    stats = _tag_and_write(corpus, annotations, alignments, table, method, vocab, out)
     print(
         f"tagged {stats.tagged_pairs}/{stats.total_pairs} pairs "
         f"(fraction {stats.tag_fraction:.4f})"
@@ -190,7 +216,7 @@ def cmd_tag_apply(args) -> int:
 
 def cmd_detag(args) -> int:
     method = parse_method(args.method)
-    if method not in (TemplateMethod.BASELINE, TemplateMethod.HYPA) and not args.table:
+    if template.METHODS[method].reads_table and not args.table:
         raise ConfigError(f"missing required option --table (needed by method {method.value!r})")
     vocab = parse_vocab(args.vocab)
     table = lexicon.load_table(args.table) if args.table else lexicon.TranslationTable({})
@@ -300,6 +326,11 @@ def cmd_pipeline_run(args) -> int:
     for sub in ("align", "lexicon", "link", "tagged"):
         (workdir / sub).mkdir(parents=True, exist_ok=True)
     artifacts: list[Path] = []
+
+    def artifact(rel: str) -> Path:
+        artifacts.append(workdir / rel)
+        return artifacts[-1]
+
     tag_stats: dict[str, dict] = {}
     stage = "corpus"
     try:
@@ -307,68 +338,33 @@ def cmd_pipeline_run(args) -> int:
         log.info("[corpus] %d pairs (%d dropped)", len(corpus), corpus.dropped_count)
 
         stage = "align"
-        ap = cfg.aligner
-        sym = None
-        vecs = {}
+        links = {}
         for direction, name in ((align.FORWARD, "fwd"), (align.REVERSE, "rev")):
-            model = align.train_alignment(
-                corpus,
-                iterations=ap.iterations,
-                tension=ap.tension,
-                p0=ap.p0,
-                vb=ap.vb,
-                alpha=ap.alpha,
-                direction=direction,
-            )
-            log.info("[align] %s perplexity: %.4f", name, model.perplexity_history[-1])
-            model_path = workdir / "align" / f"model.{name}.tsv"
-            align.save_model(model, model_path)
-            artifacts.append(model_path)
-            vectors = align.align_corpus(model, corpus)
-            vecs[name] = [align.vector_links(v, direction) for v in vectors]
-            out = workdir / "align" / f"{name}.align"
-            align.write_pharaoh(vecs[name], out)
-            artifacts.append(out)
-        sym = [
-            align.symmetrize_links(f, r, ap.heuristic)
-            for f, r in zip(vecs["fwd"], vecs["rev"])
-        ]
-        sym_path = workdir / "align" / "sym.align"
-        align.write_pharaoh(sym, sym_path)
-        artifacts.append(sym_path)
+            model_path = artifact(f"align/model.{name}.tsv")
+            model = _train_and_save(corpus, cfg.aligner, direction, model_path)
+            links[name] = _decode_and_write(model, corpus, artifact(f"align/{name}.align"))
+        sym = _symmetrize_and_write(
+            links["fwd"], links["rev"], cfg.aligner.heuristic, artifact("align/sym.align")
+        )
 
         stage = "lexicon"
-        table = lexicon.build_translation_table(corpus, sym, cfg.min_count)
-        table_path = workdir / "lexicon" / "table.tsv"
-        lexicon.save_table(table, table_path)
-        artifacts.append(table_path)
+        table = _build_and_save_table(corpus, sym, cfg.min_count, artifact("lexicon/table.tsv"))
         log.info("[lexicon] %d entries", len(table))
 
         stage = "link"
-        annotate = _make_annotator(cfg.linker)
-        mention_lists = annotate([pair.src for pair in corpus.pairs])
+        mention_lists = _make_annotator(cfg.linker)([pair.src for pair in corpus.pairs])
         if cfg.linker.mode == "remote" and cfg.linker.hypernyms:
             resolver = link.OfflineHypernyms.from_tsv(cfg.linker.hypernyms)
-            for mentions in mention_lists:
-                for m in mentions:
-                    if m.hypernym is None:
-                        m.hypernym = link.resolve_hypernym(m.uri, resolver)
-        ann_path = workdir / "link" / "annotations.jsonl"
+            link.fill_hypernyms(mention_lists, resolver)
         link.write_annotations(
-            ann_path, [(p.line_no, m) for p, m in zip(corpus.pairs, mention_lists)]
+            artifact("link/annotations.jsonl"),
+            [(p.line_no, m) for p, m in zip(corpus.pairs, mention_lists)],
         )
-        artifacts.append(ann_path)
 
         stage = "tag"
         for method in cfg.methods:
-            tagged, stats = template.tag_corpus(
-                corpus, mention_lists, sym, table, method, cfg.vocab
-            )
-            src_path = workdir / "tagged" / f"{method.value}.src"
-            tgt_path = workdir / "tagged" / f"{method.value}.tgt"
-            man_path = workdir / "tagged" / f"{method.value}.manifest.jsonl"
-            template.write_tagged(tagged, src_path, tgt_path, man_path, cfg.vocab)
-            artifacts.extend([src_path, tgt_path, man_path])
+            out = [artifact(f"tagged/{method.value}.{x}") for x in ("src", "tgt", "manifest.jsonl")]
+            stats = _tag_and_write(corpus, mention_lists, sym, table, method, cfg.vocab, out)
             tag_stats[method.value] = {
                 "total_pairs": stats.total_pairs,
                 "tagged_pairs": stats.tagged_pairs,
@@ -493,7 +489,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detag", help="strip tags from raw model output")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--method", required=True)
-    p.add_argument("--table")
+    p.add_argument(
+        "--table",
+        help="translation table, read by methods "
+        + ", ".join(m.value for m, spec in template.METHODS.items() if spec.reads_table),
+    )
     p.add_argument("--vocab", default="special")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_detag)

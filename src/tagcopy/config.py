@@ -17,7 +17,6 @@ Top-level keys::
                         endpoint, confidence
     tagging:            methods (list), vocab (special|plain|{start,mid1,
                         mid2,end}), min_count
-    eval:               resamples, seed
 """
 
 import os
@@ -64,12 +63,11 @@ class PipelineConfig:
     methods: list[TemplateMethod] = field(default_factory=lambda: list(TAGGED_METHODS))
     vocab: TagVocabulary = SPECIAL_VOCAB
     min_count: int = 1
-    resamples: int = 10000
 
 
 _TOP_KEYS = {
     "src", "tgt", "workdir", "src_lang", "tgt_lang", "seed",
-    "lowercase", "strip_accents", "aligner", "linker", "tagging", "eval",
+    "lowercase", "strip_accents", "aligner", "linker", "tagging",
 }
 
 
@@ -104,6 +102,22 @@ def parse_method(name: str) -> TemplateMethod:
         raise ConfigError(f"unknown method {name!r} (valid: {valid})") from None
 
 
+def check_linker(linker: LinkerParams) -> None:
+    """The linker mode is known and has what it reads; each complaint names
+    both the config key and the CLI option."""
+    if linker.mode not in ("gazetteer", "remote"):
+        raise ConfigError(f"linker.mode: expected 'gazetteer' or 'remote', got {linker.mode!r}")
+    if linker.mode == "gazetteer" and not linker.gazetteer:
+        raise ConfigError(
+            "missing required key linker.gazetteer or option --gazetteer (mode is 'gazetteer')"
+        )
+    if linker.mode == "remote" and not linker.endpoint:
+        raise ConfigError(
+            "missing required key linker.endpoint or option --endpoint "
+            "(mode is 'remote'; LINKER_ENDPOINT also accepted)"
+        )
+
+
 def load_config(path) -> PipelineConfig:
     """Parse and validate the YAML config; every complaint names its field."""
     with open(path, encoding="utf-8") as f:
@@ -120,7 +134,6 @@ def load_config(path) -> PipelineConfig:
     aligner_keys = {"iterations", "tension", "p0", "vb", "alpha", "heuristic"}
     linker_keys = {"mode", "gazetteer", "hypernyms", "endpoint", "confidence"}
     tagging_keys = {"methods", "vocab", "min_count"}
-    eval_keys = {"resamples"}
 
     a = _section(data, "aligner", aligner_keys)
     aligner = AlignerParams(
@@ -142,21 +155,11 @@ def load_config(path) -> PipelineConfig:
         endpoint=os.environ.get("LINKER_ENDPOINT") or lk.get("endpoint"),
         confidence=float(lk.get("confidence", 0.5)),
     )
-    if linker.mode not in ("gazetteer", "remote"):
-        raise ConfigError(f"linker.mode: expected 'gazetteer' or 'remote', got {linker.mode!r}")
-    if linker.mode == "gazetteer" and not linker.gazetteer:
-        raise ConfigError("missing required key: linker.gazetteer (linker.mode is 'gazetteer')")
-    if linker.mode == "remote" and not linker.endpoint:
-        raise ConfigError(
-            "missing required key: linker.endpoint "
-            "(linker.mode is 'remote'; LINKER_ENDPOINT also accepted)"
-        )
+    check_linker(linker)
 
     tg = _section(data, "tagging", tagging_keys)
     methods = [parse_method(m) for m in tg.get("methods", [m.value for m in TAGGED_METHODS])]
     vocab = parse_vocab(tg.get("vocab"))
-
-    ev = _section(data, "eval", eval_keys)
 
     cfg = PipelineConfig(
         src=str(data["src"]),
@@ -174,7 +177,6 @@ def load_config(path) -> PipelineConfig:
         methods=methods,
         vocab=vocab,
         min_count=int(tg.get("min_count", 1)),
-        resamples=int(ev.get("resamples", 10000)),
     )
 
     for key, value in (("src", cfg.src), ("tgt", cfg.tgt)):

@@ -368,6 +368,18 @@ def resolve_hypernym(uri: str, resolver) -> TokenSeq | None:
     return label.lower().split() or None
 
 
+def fill_hypernyms(mention_lists, resolver) -> int:
+    """Look up the hypernym of every mention that has none; returns how
+    many were found."""
+    filled = 0
+    for mentions in mention_lists:
+        for m in mentions:
+            if m.hypernym is None:
+                m.hypernym = resolve_hypernym(m.uri, resolver)
+                filled += m.hypernym is not None
+    return filled
+
+
 # ---------------------------------------------------------------------------
 # annotations file
 

@@ -13,20 +13,12 @@ from dataclasses import dataclass
 
 from .corpus import TokenSeq
 from .errors import CountMismatch, EmptyCorpus, EmptyInput, InvalidParams, LengthMismatch
-from .template import ManifestEntry, TemplateMethod, extract_regions, split_region
+from .template import METHODS, ManifestEntry, TemplateMethod, extract_regions, split_region
 
 UNALIGNED_TAG = "X"
 
-# which tag components each method is scored on (dashes elsewhere)
-COMPONENTS = {
-    TemplateMethod.BASELINE: ("translation",),
-    TemplateMethod.TAG: ("entity",),
-    TemplateMethod.ADD: ("entity", "hypernym"),
-    TemplateMethod.TRANS: ("entity", "translation"),
-    TemplateMethod.TRANSA: ("entity", "translation", "hypernym"),
-    TemplateMethod.TRANSR: ("translation", "hypernym"),
-    TemplateMethod.HYPA: ("translation", "hypernym"),
-}
+# the bundle field each scored component appears as in undelimited output
+_OUTPUT_FIELD = {"translation": "translation", "hypernym": "hypernym_tgt"}
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +137,13 @@ def copy_accuracy(manifest: list[ManifestEntry], outputs, method: TemplateMethod
     Delimited methods match the k-th balanced region of an output line to
     the k-th manifest bundle and compare segments exactly: a bundle with no
     region is a no_tag error, a region with any scored segment wrong is a
-    wrong_tag error. Baseline and hypa have no delimiters: their expected
-    token runs (translation; plus the target-side hypernym for hypa) are
-    searched anywhere in the output, each occurrence consumable once, and
-    misses land in no_tag.
+    wrong_tag error. Undelimited methods (baseline, hypa) have no regions:
+    the target-side run of each scored component (the translation, and the
+    target-side hypernym for hypa) is searched anywhere in the output, each
+    occurrence consumable once, and misses land in no_tag.
     """
-    components = COMPONENTS[method]
+    spec = METHODS[method]
+    components = spec.scored
     matched = {c: 0 for c in components}
     total = correct = no_tag = wrong_tag = 0
     for entry in manifest:
@@ -159,42 +152,28 @@ def copy_accuracy(manifest: list[ManifestEntry], outputs, method: TemplateMethod
                 f"manifest row {entry.line_no} outside the {len(outputs)} output lines"
             )
         out = outputs[entry.line_no]
-        if method in (TemplateMethod.BASELINE, TemplateMethod.HYPA):
-            used_t = [False] * len(out)
-            used_h = [False] * len(out)
-            for b in entry.bundles:
-                total += 1
-                hits = {"translation": _consume(out, b.translation, used_t)}
-                if method is TemplateMethod.HYPA:
-                    hits["hypernym"] = _consume(out, b.hypernym_tgt, used_h)
-                for c in components:
-                    matched[c] += hits[c]
-                if all(hits[c] for c in components):
-                    correct += 1
-                else:
-                    no_tag += 1
-            continue
-        regions = extract_regions(out, entry.vocab)
+        if spec.delimited:
+            regions = extract_regions(out, entry.vocab)
+        else:
+            used = {c: [False] * len(out) for c in components}
         for k, b in enumerate(entry.bundles):
             total += 1
-            if k >= len(regions):
+            if not spec.delimited:
+                hits = [_consume(out, getattr(b, _OUTPUT_FIELD[c]), used[c]) for c in components]
+            elif k < len(regions):
+                segments = split_region(regions[k], method, entry.vocab)
+                hits = [segments is not None and segments[c] == getattr(b, c) for c in components]
+            else:
                 no_tag += 1
                 continue
-            segments = split_region(regions[k], method, entry.vocab)
-            hits = dict.fromkeys(components, False)
-            if segments is not None:
-                if "entity" in hits:
-                    hits["entity"] = segments["entity"] == b.entity
-                if "translation" in hits:
-                    hits["translation"] = segments["translation"] == b.translation
-                if "hypernym" in hits:
-                    hits["hypernym"] = segments["hypernym"] == b.hypernym
-            for c in components:
-                matched[c] += hits[c]
-            if all(hits.values()):
+            for c, hit in zip(components, hits):
+                matched[c] += hit
+            if all(hits):
                 correct += 1
-            else:
+            elif spec.delimited:
                 wrong_tag += 1
+            else:
+                no_tag += 1
     return CopyReport(method, total, correct, no_tag, wrong_tag, matched)
 
 

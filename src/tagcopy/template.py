@@ -43,31 +43,51 @@ class TemplateMethod(str, Enum):
     HYPA = "hypa"
 
 
-TAGGED_METHODS = (
-    TemplateMethod.TAG,
-    TemplateMethod.ADD,
-    TemplateMethod.TRANS,
-    TemplateMethod.TRANSA,
-    TemplateMethod.TRANSR,
-    TemplateMethod.HYPA,
-)
+@dataclass(frozen=True)
+class MethodSpec:
+    """One method's layout: every tagging, detagging and scoring rule
+    follows from it.
 
-_NEEDS_TRANSLATION = {TemplateMethod.TRANS, TemplateMethod.TRANSA, TemplateMethod.TRANSR}
-_NEEDS_HYPERNYM = {
-    TemplateMethod.ADD,
-    TemplateMethod.TRANSA,
-    TemplateMethod.TRANSR,
-    TemplateMethod.HYPA,
+    ``slots`` are the components written in place of the entity, in order
+    (none for baseline, which writes nothing). A delimited method wraps them
+    as ``<start> s0 <mid1> s1 <mid2> s2 <end>``; an undelimited one writes
+    them bare on the source side and, on the target side, keeps the
+    translation and appends the target-side hypernym. ``scored`` are the
+    components copy accuracy compares.
+    """
+
+    slots: tuple[str, ...]
+    delimited: bool
+    scored: tuple[str, ...]
+
+    @property
+    def needs(self) -> tuple[str, ...]:
+        """Components a bundle must carry; the entity is the mention itself."""
+        return tuple(s for s in self.slots if s != "entity")
+
+    @property
+    def reads_table(self) -> bool:
+        """Detag keeps a region's translation segment when it has one, else
+        table-translates its entity segment; undelimited output is left as
+        it is."""
+        return self.delimited and "translation" not in self.slots
+
+
+METHODS = {
+    TemplateMethod.BASELINE: MethodSpec((), False, ("translation",)),
+    TemplateMethod.TAG: MethodSpec(("entity",), True, ("entity",)),
+    TemplateMethod.ADD: MethodSpec(("entity", "hypernym"), True, ("entity", "hypernym")),
+    TemplateMethod.TRANS: MethodSpec(("entity", "translation"), True, ("entity", "translation")),
+    TemplateMethod.TRANSA: MethodSpec(
+        ("entity", "translation", "hypernym"), True, ("entity", "translation", "hypernym")
+    ),
+    TemplateMethod.TRANSR: MethodSpec(
+        ("hypernym", "translation"), True, ("translation", "hypernym")
+    ),
+    TemplateMethod.HYPA: MethodSpec(("entity", "hypernym"), False, ("translation", "hypernym")),
 }
 
-# region layout between <start> and <end>, per delimited method
-REGION_SLOTS = {
-    TemplateMethod.TAG: ("entity",),
-    TemplateMethod.ADD: ("entity", "hypernym"),
-    TemplateMethod.TRANS: ("entity", "translation"),
-    TemplateMethod.TRANSA: ("entity", "translation", "hypernym"),
-    TemplateMethod.TRANSR: ("hypernym", "translation"),
-}
+TAGGED_METHODS = tuple(m for m, spec in METHODS.items() if spec.slots)
 
 
 @dataclass(frozen=True)
@@ -117,28 +137,25 @@ class TagStats:
 
 
 def _tag_content(method: TemplateMethod, bundle: MentionBundle, vocab: TagVocabulary) -> TokenSeq:
-    """The token run substituted for the entity; identical on both sides."""
-    e = bundle.mention.surface
-    t = bundle.translation
-    h = bundle.mention.hypernym
-    if method in _NEEDS_TRANSLATION and not t:
-        raise MissingComponent(f"method {method.value!r} needs an entity translation")
-    if method in _NEEDS_HYPERNYM and not h:
-        raise MissingComponent(f"method {method.value!r} needs a hypernym")
-    v = vocab
-    if method is TemplateMethod.TAG:
-        return [v.start, *e, v.end]
-    if method is TemplateMethod.ADD:
-        return [v.start, *e, v.mid1, *h, v.end]
-    if method is TemplateMethod.TRANS:
-        return [v.start, *e, v.mid1, *t, v.end]
-    if method is TemplateMethod.TRANSA:
-        return [v.start, *e, v.mid1, *t, v.mid2, *h, v.end]
-    if method is TemplateMethod.TRANSR:
-        return [v.start, *h, v.mid1, *t, v.end]
-    if method is TemplateMethod.HYPA:
-        return [*e, *h]
-    raise InvalidParams(f"method {method.value!r} has no tag content")
+    """The token run the source side writes in place of the entity; a
+    delimited method writes the same run on the target side."""
+    spec = METHODS[method]
+    content = {
+        "entity": bundle.mention.surface,
+        "translation": bundle.translation,
+        "hypernym": bundle.mention.hypernym,
+    }
+    for slot in spec.needs:
+        if not content[slot]:
+            raise MissingComponent(f"method {method.value!r} needs a {slot}")
+    if not spec.delimited:
+        return [tok for slot in spec.slots for tok in content[slot]]
+    out: TokenSeq = []
+    for opener, slot in zip((vocab.start, vocab.mid1, vocab.mid2), spec.slots):
+        out.append(opener)
+        out.extend(content[slot])
+    out.append(vocab.end)
+    return out
 
 
 def render_source_template(
@@ -148,7 +165,7 @@ def render_source_template(
     vocab: TagVocabulary = SPECIAL_VOCAB,
 ) -> TokenSeq:
     """Replace the entity span of the source sentence with the template."""
-    if method is TemplateMethod.BASELINE:
+    if not METHODS[method].slots:
         return list(sentence)
     m = bundle.mention
     return sentence[:m.start] + _tag_content(method, bundle, vocab) + sentence[m.end:]
@@ -163,16 +180,18 @@ def render_target_template(
     """Rewrite the projected translation span of the target sentence.
 
     Delimited methods substitute the same rendered content as the source
-    side; hypa keeps the translation and appends the target-side hypernym.
+    side; undelimited ones keep the translation and append the target-side
+    hypernym when they write one.
     """
-    if method is TemplateMethod.BASELINE:
+    spec = METHODS[method]
+    if spec.delimited:
+        content = _tag_content(method, bundle, vocab)
+        return tgt_sentence[:bundle.tgt_start] + content + tgt_sentence[bundle.tgt_end:]
+    if "hypernym" not in spec.slots:
         return list(tgt_sentence)
-    if method is TemplateMethod.HYPA:
-        if not bundle.hypernym_tgt:
-            raise MissingComponent("method 'hypa' needs a target-side hypernym")
-        return tgt_sentence[:bundle.tgt_end] + bundle.hypernym_tgt + tgt_sentence[bundle.tgt_end:]
-    content = _tag_content(method, bundle, vocab)
-    return tgt_sentence[:bundle.tgt_start] + content + tgt_sentence[bundle.tgt_end:]
+    if not bundle.hypernym_tgt:
+        raise MissingComponent(f"method {method.value!r} needs a target-side hypernym")
+    return tgt_sentence[:bundle.tgt_end] + bundle.hypernym_tgt + tgt_sentence[bundle.tgt_end:]
 
 
 def tag_corpus(
@@ -233,11 +252,30 @@ def tag_corpus(
 # detagging
 
 
-def _find(tokens: TokenSeq, needle: str, start: int) -> int | None:
-    try:
-        return tokens.index(needle, start)
-    except ValueError:
-        return None
+def _scan_regions(tokens: TokenSeq, vocab: TagVocabulary):
+    """Cut tokens at balanced start..end regions, left to right.
+
+    Returns ``(regions, tail, unclosed)``: ``regions`` holds a ``(text,
+    inner)`` pair per region, the tokens before it and the tokens between
+    its delimiters; ``tail`` is the text after the last region. A start
+    with no end after it leaves what follows it in ``unclosed`` (else None)
+    and ends ``tail`` before it. Each region ends at the first end after its
+    start. Text may still hold stray delimiter tokens.
+    """
+    regions = []
+    find = tokens.index
+    i = 0
+    while True:
+        try:
+            s = find(vocab.start, i)
+        except ValueError:
+            return regions, tokens[i:], None
+        try:
+            e = find(vocab.end, s + 1)
+        except ValueError:
+            return regions, tokens[i:s], tokens[s + 1:]
+        regions.append((tokens[i:s], tokens[s + 1:e]))
+        i = e + 1
 
 
 def split_region(inner: TokenSeq, method: TemplateMethod, vocab: TagVocabulary):
@@ -245,41 +283,37 @@ def split_region(inner: TokenSeq, method: TemplateMethod, vocab: TagVocabulary):
 
     Returns a dict keyed by the method's slot names, or None when the
     content is malformed (separators missing, duplicated, out of order, or
-    stray delimiter tokens inside).
+    stray delimiter tokens inside) or the method is undelimited.
     """
-    slots = REGION_SLOTS.get(method)
-    if slots is None:
+    spec = METHODS[method]
+    if not spec.delimited:
         return None
-    expected = [vocab.mid1, vocab.mid2][: len(slots) - 1]
-    marks = vocab.tokens()
-    parts: list[TokenSeq] = [[]]
-    for tok in inner:
-        if expected and tok == expected[0]:
-            expected.pop(0)
-            parts.append([])
-        elif tok in marks:
+    parts = []
+    i = 0
+    for sep in (vocab.mid1, vocab.mid2)[: len(spec.slots) - 1]:
+        try:
+            j = inner.index(sep, i)
+        except ValueError:
             return None
-        else:
-            parts[-1].append(tok)
-    if expected:
+        parts.append(inner[i:j])
+        i = j + 1
+    parts.append(inner[i:])
+    marks = vocab.tokens()
+    if any(not marks.isdisjoint(part) for part in parts):
         return None
-    return dict(zip(slots, parts))
+    return dict(zip(spec.slots, parts))
 
 
 def extract_regions(output: TokenSeq, vocab: TagVocabulary) -> list[TokenSeq]:
     """Balanced start..end region contents, in order of appearance."""
-    regions = []
-    i = 0
-    while i < len(output):
-        if output[i] == vocab.start:
-            j = _find(output, vocab.end, i + 1)
-            if j is None:
-                break
-            regions.append(output[i + 1:j])
-            i = j + 1
-        else:
-            i += 1
-    return regions
+    return [inner for _, inner in _scan_regions(output, vocab)[0]]
+
+
+def _keep_words(tokens: TokenSeq, marks: frozenset[str], out: TokenSeq) -> int:
+    """Append the tokens that are not delimiters; returns how many were."""
+    words = [t for t in tokens if t not in marks]
+    out.extend(words)
+    return len(tokens) - len(words)
 
 
 def detag(
@@ -290,44 +324,36 @@ def detag(
 ) -> tuple[TokenSeq, int]:
     """Strip tag regions from raw model output.
 
-    tag/add regions become the word-by-word table translation of their
-    entity segment (words the table misses stay verbatim, add's hypernym
-    segment is discarded); trans/transa/transr regions keep their
-    translation segment; hypa and baseline pass through untouched.
-    Malformed regions (unbalanced or with unexpected separators) lose their
-    delimiter tokens, keep the rest verbatim, and are tallied in the
-    returned incident count.
+    Following ``MethodSpec.reads_table``, a region becomes its translation
+    segment when the method writes one (trans/transa/transr), else the
+    word-by-word table translation of its entity segment, with words the
+    table misses kept verbatim (tag/add); undelimited output (hypa,
+    baseline) passes through untouched. Malformed regions (unclosed, or
+    with unexpected separators) lose their delimiter tokens, keep the rest
+    verbatim, and are tallied in the returned incident count, as is every
+    stray delimiter outside a region.
     """
-    if method in (TemplateMethod.BASELINE, TemplateMethod.HYPA):
-        return list(output), 0
+    spec = METHODS[method]
     marks = vocab.tokens()
+    if not spec.delimited or marks.isdisjoint(output):
+        return list(output), 0
+    regions, tail, unclosed = _scan_regions(output, vocab)
     out: TokenSeq = []
     incidents = 0
-    i = 0
-    while i < len(output):
-        tok = output[i]
-        if tok == vocab.start:
-            j = _find(output, vocab.end, i + 1)
-            if j is None:
-                incidents += 1
-                out.extend(t for t in output[i + 1:] if t not in marks)
-                break
-            inner = output[i + 1:j]
-            segments = split_region(inner, method, vocab)
-            if segments is None:
-                incidents += 1
-                out.extend(t for t in inner if t not in marks)
-            elif method in (TemplateMethod.TAG, TemplateMethod.ADD):
-                out.extend(translate_tokens(table, segments["entity"]))
-            else:
-                out.extend(segments["translation"])
-            i = j + 1
-        elif tok in marks:
-            incidents += 1  # stray delimiter outside any region
-            i += 1
+    for text, inner in regions:
+        incidents += _keep_words(text, marks, out)
+        segments = split_region(inner, method, vocab)
+        if segments is None:
+            incidents += 1
+            _keep_words(inner, marks, out)
+        elif spec.reads_table:
+            out.extend(translate_tokens(table, segments["entity"]))
         else:
-            out.append(tok)
-            i += 1
+            out.extend(segments["translation"])
+    incidents += _keep_words(tail, marks, out)
+    if unclosed is not None:
+        incidents += 1
+        _keep_words(unclosed, marks, out)
     return out, incidents
 
 

@@ -228,6 +228,17 @@ class TestTagApply:
         assert rc == 0
         assert detagged.read_bytes() == (toy_dir / "tgt.zz").read_bytes()
 
+    def test_detag_table_only_where_read(self, tmp_path, toy_dir, prepared, capsys):
+        # trans keeps the translation segment; tag translates the entity
+        # through the table, so only tag needs --table
+        _, _, out_tgt, _ = self._tag(tmp_path, toy_dir, prepared, "trans")
+        detagged = tmp_path / "detagged.tgt"
+        argv = ["detag", "--in", str(out_tgt), "--out", str(detagged), "--method"]
+        assert cli.main([*argv, "trans"]) == 0
+        assert detagged.read_bytes() == (toy_dir / "tgt.zz").read_bytes()
+        assert cli.main([*argv, "tag"]) == 2
+        assert "--table" in capsys.readouterr().err
+
     def test_tag_fraction_printed(self, tmp_path, toy_dir, prepared, capsys):
         rc, *_ = self._tag(tmp_path, toy_dir, prepared, "tag")
         assert rc == 0
@@ -397,6 +408,74 @@ class TestPipelineRun:
         assert "[link]" in capsys.readouterr().err
 
 
+class TestStageParity:
+    def test_subcommands_match_pipeline_run(self, tmp_path, toy_dir):
+        # the subcommand chain and pipeline-run share one implementation per
+        # stage, so every artifact must come out byte-identical
+        root = Path(__file__).resolve().parent.parent
+        cfg = yaml.safe_load((toy_dir / "config.yaml").read_text(encoding="utf-8"))
+        for key in ("src", "tgt"):
+            cfg[key] = str(root / cfg[key])
+        for key in ("gazetteer", "hypernyms"):
+            cfg["linker"][key] = str(root / cfg["linker"][key])
+        cfg["workdir"] = str(tmp_path / "run")
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        assert cli.main(["pipeline-run", "--config", str(config)]) == 0
+
+        run, out = tmp_path / "run", tmp_path / "chain"
+        out.mkdir()
+        corpus = ["--src", cfg["src"], "--tgt", cfg["tgt"]]
+        ap = cfg["aligner"]
+        for name in ("fwd", "rev"):
+            assert cli.main([
+                "align-train", *corpus, "--direction", name,
+                "--iterations", str(ap["iterations"]), "--tension", str(ap["tension"]),
+                "--p0", str(ap["p0"]), "--model-out", str(out / f"model.{name}.tsv"),
+            ]) == 0
+            assert cli.main([
+                "align-apply", *corpus, "--model", str(out / f"model.{name}.tsv"),
+                "--out", str(out / f"{name}.align"),
+            ]) == 0
+        assert cli.main([
+            "symmetrize", "--fwd", str(out / "fwd.align"), "--rev", str(out / "rev.align"),
+            "--heuristic", ap["heuristic"], "--out", str(out / "sym.align"),
+        ]) == 0
+        assert cli.main([
+            "lexicon-build", *corpus, "--alignments", str(out / "sym.align"),
+            "--out", str(out / "table.tsv"),
+        ]) == 0
+        assert cli.main([
+            "link-annotate", "--src", cfg["src"], "--gazetteer", cfg["linker"]["gazetteer"],
+            "--out", str(out / "mentions.jsonl"),
+        ]) == 0
+        assert cli.main([
+            "link-hypernyms", "--annotations", str(out / "mentions.jsonl"),
+            "--hypernyms", cfg["linker"]["hypernyms"], "--out", str(out / "annotations.jsonl"),
+        ]) == 0
+        pairs = {
+            f"align/{name}": out / name
+            for name in ("model.fwd.tsv", "model.rev.tsv", "fwd.align", "rev.align", "sym.align")
+        }
+        pairs["lexicon/table.tsv"] = out / "table.tsv"
+        pairs["link/annotations.jsonl"] = out / "annotations.jsonl"
+        for method in cfg["tagging"]["methods"]:
+            files = [out / f"{method}.{ext}" for ext in ("src", "tgt", "manifest.jsonl")]
+            assert cli.main([
+                "tag-apply", *corpus, "--annotations", str(out / "annotations.jsonl"),
+                "--alignments", str(out / "sym.align"), "--table", str(out / "table.tsv"),
+                "--method", method, "--vocab", cfg["tagging"]["vocab"],
+                "--out-src", str(files[0]), "--out-tgt", str(files[1]),
+                "--manifest", str(files[2]),
+            ]) == 0
+            pairs.update({f"tagged/{f.name}": f for f in files})
+
+        manifest = json.loads((run / "stage_manifest.json").read_text(encoding="utf-8"))
+        assert set(pairs) == set(manifest["artifacts"])
+        for rel, chained in pairs.items():
+            assert chained.read_bytes() == (run / rel).read_bytes(), rel
+
+
 class TestConfig:
     def test_missing_required_key(self, tmp_path, toy_dir):
         path = tmp_path / "c.yaml"
@@ -414,6 +493,13 @@ class TestConfig:
             tmp_path / "c.yaml", toy_dir, tmp_path / "w", tagging={"methods": ["shiny"]}
         )
         with pytest.raises(ConfigError, match="shiny"):
+            load_config(config)
+
+    def test_eval_section_is_unknown(self, tmp_path, toy_dir):
+        config = write_config(
+            tmp_path / "c.yaml", toy_dir, tmp_path / "w", eval={"resamples": 100}
+        )
+        with pytest.raises(ConfigError, match="unknown key: eval"):
             load_config(config)
 
     def test_missing_input_file(self, tmp_path, toy_dir):
@@ -449,7 +535,6 @@ class TestConfig:
         assert cfg.aligner.iterations == 5
         assert cfg.aligner.p0 == 0.08
         assert cfg.linker.confidence == 0.5
-        assert cfg.resamples == 10000
 
 
 def test_cli_import_loads_neither_requests_nor_numpy():
