@@ -51,6 +51,7 @@ from .errors import (
     EmptyPair,
     InvalidParams,
     LengthMismatch,
+    MalformedFile,
     ZeroProbability,
 )
 
@@ -494,14 +495,24 @@ def write_pharaoh(link_sets, path) -> None:
 
 
 def read_pharaoh(path) -> list[set[tuple[int, int]]]:
+    """One set of (i, j) links per line of ``i-j`` tokens; a malformed file
+    raises MalformedFile naming path:line."""
     sets = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            links = set()
-            for part in line.split():
-                i, _, j = part.partition("-")
-                links.add((int(i), int(j)))
-            sets.append(links)
+        # one handler around the whole read keeps the per-token loop bare
+        try:
+            for line in f:
+                links = set()
+                for part in line.split():
+                    i, _, j = part.partition("-")
+                    links.add((int(i), int(j)))
+                sets.append(links)
+        except UnicodeDecodeError as exc:
+            raise MalformedFile(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except ValueError:
+            raise MalformedFile(
+                f"{path}:{len(sets) + 1}: bad link {part!r}, expected i-j"
+            ) from None
     return sets
 
 

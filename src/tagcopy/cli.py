@@ -247,6 +247,8 @@ def cmd_eval_bleu(args) -> int:
         subset = _manifest_subset(args.manifest)
     result = metrics.bleu(hyps, refs, max_n=args.max_n, subset=subset)
     print(metrics.format_bleu(result))
+    scored = "all" if subset is None else f"tag-only({len(subset)} lines)"
+    print(f"BLEU signature: nrefs:1|max_n:{args.max_n}|tok:as-given|smooth:none|subset:{scored}")
     if args.tsv:
         metrics.write_bleu_tsv(result, args.tsv)
     return 0

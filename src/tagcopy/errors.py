@@ -45,6 +45,10 @@ class MalformedResponse(ToolkitError):
     """A remote service answered with something unparseable."""
 
 
+class MalformedFile(ToolkitError):
+    """A file on disk does not follow its format; the message names path:line."""
+
+
 class MissingComponent(ToolkitError):
     """A template needs an entity component the bundle does not have."""
 

@@ -10,6 +10,7 @@ import math
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import repeat
 
 from .corpus import TokenSeq
 from .errors import CountMismatch, EmptyCorpus, EmptyInput, InvalidParams, LengthMismatch
@@ -34,42 +35,53 @@ class BleuScore:
     ref_len: int
 
 
-def _ngrams(tokens: TokenSeq, n: int) -> Counter:
-    return Counter(tuple(tokens[k:k + n]) for k in range(len(tokens) - n + 1))
-
-
 def bleu(hypotheses, references, max_n: int = 4, subset=None) -> BleuScore:
     """Corpus-level BLEU with clipped n-gram precisions, single reference.
 
     Any zero n-gram precision zeroes the score (multi-bleu convention); the
     brevity penalty is min(1, exp(1 - r/c)). ``subset`` restricts scoring to
-    the given line indices, which is how tag-only evaluation works.
+    the given line indices, which is how tag-only evaluation works; an index
+    outside the corpus raises CountMismatch.
     """
     if len(hypotheses) != len(references):
         raise CountMismatch(
             f"{len(hypotheses)} hypotheses vs {len(references)} references"
         )
-    if subset is not None:
-        keep = set(subset)
-        pairs = [hr for k, hr in enumerate(zip(hypotheses, references)) if k in keep]
+    if subset is None:
+        lines = range(len(hypotheses))
     else:
-        pairs = list(zip(hypotheses, references))
-    if not pairs:
+        lines = sorted(set(subset))
+        for k in lines[:1] + lines[-1:]:
+            if not 0 <= k < len(hypotheses):
+                raise CountMismatch(
+                    f"subset line {k} outside the {len(hypotheses)} hypothesis lines"
+                )
+    if not lines:
         raise EmptyCorpus("nothing to score")
     matches = [0] * max_n
     totals = [0] * max_n
     hyp_len = 0
     ref_len = 0
-    for hyp, ref in pairs:
+    for k in lines:
+        hyp = hypotheses[k]
+        ref = references[k]
         hyp_len += len(hyp)
         ref_len += len(ref)
-        for n in range(1, max_n + 1):
-            hgrams = _ngrams(hyp, n)
-            if not hgrams:
-                continue
-            rgrams = _ngrams(ref, n)
-            totals[n - 1] += sum(hgrams.values())
-            matches[n - 1] += sum(min(c, rgrams[g]) for g, c in hgrams.items())
+        hgrams, rgrams = hyp, ref
+        for n in range(1, min(max_n, len(hyp)) + 1):
+            if n > 1:
+                # order-n grams as (order n-1 gram, next token) pairs
+                hgrams = list(zip(hgrams, hyp[n - 1:]))
+                rgrams = list(zip(rgrams, ref[n - 1:]))
+            total = len(hyp) - n + 1
+            totals[n - 1] += total
+            distinct = set(hgrams)
+            if len(distinct) == total:
+                # no repeated hypothesis n-gram: every clip is min(1, count in ref)
+                matches[n - 1] += len(distinct.intersection(rgrams))
+            else:
+                rcounts = Counter(rgrams)
+                matches[n - 1] += sum(min(c, rcounts[g]) for g, c in Counter(hgrams).items())
     precisions = [m / t if t else 0.0 for m, t in zip(matches, totals)]
     if hyp_len == 0:
         bp = 0.0
@@ -371,10 +383,11 @@ def significance(system_flags, baseline_flags, resamples: int = 10000, seed: int
     diffs = [int(s) - int(b) for s, b in zip(system_flags, baseline_flags)]
     observed = abs(sum(diffs))  # in units of 1/n
     m = sum(1 for d in diffs if d)
-    rng = random.Random(seed)
-    hits = 0
-    for _ in range(resamples):
-        d = 2 * rng.getrandbits(m).bit_count() - m if m else 0
-        if abs(d) >= observed:
-            hits += 1
+    if m == 0:
+        return 1.0  # every resample ties the observed 0: (resamples + 1) / (resamples + 1)
+    # the same getrandbits(m) per resample, in order, kept as a histogram
+    # of how many disagreeing pairs each resample swaps
+    draws = map(random.Random(seed).getrandbits, repeat(m, resamples))
+    swaps = Counter(map(int.bit_count, draws))
+    hits = sum(c for k, c in swaps.items() if abs(2 * k - m) >= observed)
     return (hits + 1) / (resamples + 1)

@@ -30,6 +30,7 @@ from tagcopy.errors import (
     EmptyPair,
     InvalidParams,
     LengthMismatch,
+    MalformedFile,
     ZeroProbability,
 )
 
@@ -337,6 +338,19 @@ class TestPersistence:
     def test_pharaoh_is_sorted(self, tmp_path):
         write_pharaoh([{(2, 1), (0, 0), (1, 5)}], tmp_path / "a.align")
         assert (tmp_path / "a.align").read_text(encoding="utf-8") == "0-0 1-5 2-1\n"
+
+    @pytest.mark.parametrize("bad", ["0-x", "1-2-3", "5"])
+    def test_pharaoh_malformed_link_names_path_and_line(self, tmp_path, bad):
+        path = tmp_path / "a.align"
+        path.write_text(f"0-0\n1-1 {bad} 2-2\n", encoding="utf-8")
+        with pytest.raises(MalformedFile, match=f"a.align:2: bad link '{bad}'"):
+            read_pharaoh(path)
+
+    def test_pharaoh_not_utf8(self, tmp_path):
+        path = tmp_path / "a.align"
+        path.write_bytes(b"0-0\n\xff\xfe\n")
+        with pytest.raises(MalformedFile, match="not UTF-8"):
+            read_pharaoh(path)
 
 
 class TestBidirectionalDecoding:

@@ -125,6 +125,14 @@ class TestAlignChain:
                        "--rev", str(tmp_path / "r"), "--out", str(tmp_path / "s")])
         assert rc == 2
 
+    def test_symmetrize_malformed_alignment(self, tmp_path, capsys):
+        (tmp_path / "f").write_text("0-0\n0-x 1-1\n", encoding="utf-8")
+        (tmp_path / "r").write_text("0-0\n1-1\n", encoding="utf-8")
+        rc = cli.main(["symmetrize", "--fwd", str(tmp_path / "f"),
+                       "--rev", str(tmp_path / "r"), "--out", str(tmp_path / "s")])
+        assert rc == 2
+        assert f"{tmp_path / 'f'}:2: bad link '0-x'" in capsys.readouterr().err
+
 
 class TestLinkCommands:
     def test_annotate_gazetteer(self, prepared):
@@ -280,6 +288,22 @@ class TestEvalCommands:
         assert "BLEU = 100.00" in capsys.readouterr().out
         header = (tmp_path / "bleu.tsv").read_text(encoding="utf-8").splitlines()[0]
         assert header.startswith("score\tp1")
+
+    def test_bleu_signature(self, tmp_path, toy_dir, prepared, capsys):
+        tagger = TestTagApply()
+        _, _, _, manifest = tagger._tag(tmp_path, toy_dir, prepared, "tag")
+        capsys.readouterr()
+        hyp, ref = str(toy_dir / "tgt.zz"), str(toy_dir / "tgt.zz")
+        assert cli.main(["eval-bleu", "--hyp", hyp, "--ref", ref, "--max-n", "3"]) == 0
+        assert cli.main(["eval-bleu", "--hyp", hyp, "--ref", ref, "--subset", "tag-only",
+                         "--manifest", str(manifest)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("BLEU = 100.00")
+        assert lines[1] == "BLEU signature: nrefs:1|max_n:3|tok:as-given|smooth:none|subset:all"
+        assert lines[2].startswith("BLEU = 100.00")
+        assert lines[3] == (
+            "BLEU signature: nrefs:1|max_n:4|tok:as-given|smooth:none|subset:tag-only(50 lines)"
+        )
 
     def test_eval_copy_perfect_run(self, tmp_path, toy_dir, prepared, capsys):
         tagger = TestTagApply()

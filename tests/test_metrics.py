@@ -117,6 +117,11 @@ class TestBleu:
         with pytest.raises(EmptyCorpus):
             bleu(HYPS, REFS, subset=set())
 
+    @pytest.mark.parametrize("bad", [3, 99, -1])
+    def test_subset_line_out_of_range(self, bad):
+        with pytest.raises(CountMismatch, match=f"subset line {bad} outside the 3 hypothesis"):
+            bleu(HYPS, REFS, subset={0, bad})
+
 
 # ---------------------------------------------------------------------------
 # copy accuracy
