@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .corpus import NormProfile, ParallelCorpus, SentencePair, read_parallel, split_holdout
 from .align import AlignModel, corpus_perplexity, symmetrize, train_alignment, viterbi_align
 from .lexicon import TranslationTable, build_translation_table, translate_word
-from .link import EntityMention, Gazetteer, MentionBundle, SpotlightClient, project_entity_span
+from .link import EntityMention, Gazetteer, SpotlightClient, project_entity_span
 from .template import TagVocabulary, TemplateMethod, detag, tag_corpus
 from .metrics import bleu, copy_accuracy, pos_accuracy, pos_project, significance
 
@@ -19,7 +19,6 @@ __all__ = [
     "AlignModel",
     "EntityMention",
     "Gazetteer",
-    "MentionBundle",
     "NormProfile",
     "ParallelCorpus",
     "SentencePair",

@@ -69,6 +69,11 @@ HEURISTICS = ("intersection", "union", "grow-diag-final-and")
 _SAVE_ENTRIES = 1 << 12
 _LOAD_BYTES = 1 << 17
 
+# a model dump's header lines: key -> parser of the value (a direction
+# other than the two raises KeyError)
+_MODEL_HEADER = {"direction": {FORWARD: FORWARD, REVERSE: REVERSE}.__getitem__,
+                 "tension": float, "p0": float}
+
 
 def _ids(vocab: list[str]) -> dict[str, int]:
     return {w: k for k, w in enumerate(vocab)}
@@ -494,9 +499,19 @@ def write_pharaoh(link_sets, path) -> None:
             f.write(" ".join(f"{i}-{j}" for i, j in sorted(links)) + "\n")
 
 
+def _is_link(part: str) -> bool:
+    """Whether read_pharaoh accepts a token: two digit runs joined by ``-``."""
+    i, _, j = part.partition("-")
+    try:
+        int(i), int(j)
+    except ValueError:
+        return False
+    return i.isdigit() and j.isdigit()
+
+
 def read_pharaoh(path) -> list[set[tuple[int, int]]]:
-    """One set of (i, j) links per line of ``i-j`` tokens; a malformed file
-    raises MalformedFile naming path:line."""
+    """One set of (i, j) links per line of ``i-j`` tokens, each index bare
+    digits; a malformed file raises MalformedFile naming path:line."""
     sets = []
     with open(path, encoding="utf-8") as f:
         # one handler around the whole read keeps the per-token loop bare
@@ -506,10 +521,15 @@ def read_pharaoh(path) -> list[set[tuple[int, int]]]:
                 for part in line.split():
                     i, _, j = part.partition("-")
                     links.add((int(i), int(j)))
+                # int() also reads a sign and underscores; one check of the
+                # whole line keeps them out of the per-token loop
+                if "--" in line or "+" in line or "_" in line:
+                    raise ValueError
                 sets.append(links)
         except UnicodeDecodeError as exc:
             raise MalformedFile(f"{path}: not UTF-8 text ({exc.reason})") from None
         except ValueError:
+            part = next(p for p in line.split() if not _is_link(p))
             raise MalformedFile(
                 f"{path}:{len(sets) + 1}: bad link {part!r}, expected i-j"
             ) from None
@@ -546,29 +566,62 @@ def _sorted_ranks(first_seen: dict[str, int]):
     return vocab, rank
 
 
+def _model_fault(path) -> MalformedFile:
+    """Rescan a dump load_model rejected for the first line at fault, or
+    the header it lacks."""
+    header = {}
+    n = 0
+    with open(path, encoding="utf-8") as f:
+        for n, line in enumerate(f, 1):
+            fields = line.rstrip("\n").split("\t")
+            try:
+                if len(fields) == 3:
+                    float(fields[2])
+                elif len(fields) == 2:
+                    header[fields[0]] = _MODEL_HEADER[fields[0]](fields[1])
+                elif line.strip():
+                    raise ValueError
+            except (ValueError, KeyError):
+                return MalformedFile(
+                    f"{path}:{n}: neither an e<TAB>f<TAB>prob row nor a valid direction, "
+                    f"tension or p0 header: {line!r}"
+                )
+    missing = next(k for k in ("tension", "p0") if k not in header)
+    return MalformedFile(f"{path}:{n + 1}: end of file before a {missing!r} header line")
+
+
 def load_model(path) -> AlignModel:
     """Read a model dump. Rows may come in any order; a repeated (e, f)
-    keeps its last value."""
-    header: dict[str, str] = {}
+    keeps its last value. A malformed dump raises MalformedFile naming
+    path:line."""
+    header: dict = {"direction": FORWARD}
     # token -> id in order of first appearance
     cond_seen: dict[str, int] = defaultdict(count().__next__)
     emit_seen: dict[str, int] = defaultdict(count().__next__)
     rows, cols, values = array("i"), array("i"), array("d")
     with open(path, encoding="utf-8") as f:
-        while lines := f.readlines(_LOAD_BYTES):
-            entries = []
-            for line in lines:
-                tabs = line.count("\t")
-                if tabs == 2:
-                    entries.append(line)
-                elif tabs == 1:
-                    key, value = line.rstrip("\n").split("\t")
-                    header[key] = value
-            # the entries' fields in one flat list: e, f, p, e, f, p, ...
-            fields = "".join(entries).replace("\n", "\t").split("\t")[:3 * len(entries)]
-            rows.extend(map(cond_seen.__getitem__, fields[0::3]))
-            cols.extend(map(emit_seen.__getitem__, fields[1::3]))
-            values.extend(map(float, fields[2::3]))
+        try:
+            while lines := f.readlines(_LOAD_BYTES):
+                entries = []
+                for line in lines:
+                    tabs = line.count("\t")
+                    if tabs == 2:
+                        entries.append(line)
+                    elif tabs == 1:
+                        key, value = line.rstrip("\n").split("\t")
+                        header[key] = _MODEL_HEADER[key](value)
+                    elif line.strip():
+                        raise ValueError
+                # the entries' fields in one flat list: e, f, p, e, f, p, ...
+                fields = "".join(entries).replace("\n", "\t").split("\t")[:3 * len(entries)]
+                rows.extend(map(cond_seen.__getitem__, fields[0::3]))
+                cols.extend(map(emit_seen.__getitem__, fields[1::3]))
+                values.extend(map(float, fields[2::3]))
+            tension, p0 = header["tension"], header["p0"]
+        except UnicodeDecodeError as exc:
+            raise MalformedFile(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except (ValueError, KeyError):
+            raise _model_fault(path) from None
     import numpy as np
 
     cond, cond_rank = _sorted_ranks(cond_seen)
@@ -584,9 +637,4 @@ def load_model(path) -> AlignModel:
         last = np.ones(len(keys), dtype=bool)
         last[:-1] = keys[1:] != keys[:-1]
         keys, probs = keys[last], probs[last]
-    return AlignModel(
-        Theta(cond, emit, keys, probs),
-        float(header["tension"]),
-        float(header["p0"]),
-        header.get("direction", FORWARD),
-    )
+    return AlignModel(Theta(cond, emit, keys, probs), tension, p0, header["direction"])

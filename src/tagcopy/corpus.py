@@ -7,11 +7,12 @@ stays language-neutral; sub-word or language-specific segmentation belongs
 to upstream tools.
 """
 
+import json
 import random
 import unicodedata
 from dataclasses import dataclass
 
-from .errors import InsufficientData, LineCountMismatch
+from .errors import InsufficientData, InvalidParams, LineCountMismatch, MalformedFile
 
 TokenSeq = list[str]
 
@@ -128,3 +129,35 @@ def split_holdout(corpus: ParallelCorpus, n_valid: int, n_test: int, seed: int):
         return ParallelCorpus([corpus.pairs[i] for i in ix], corpus.src_lang, corpus.tgt_lang)
 
     return take(train_ix), take(valid_ix), take(test_ix)
+
+
+def read_records(path, parse, tsv: int = 0) -> list:
+    """Parse each non-blank line of a UTF-8 file into one record.
+
+    With ``tsv=N`` a line must hold exactly N tab-separated fields, passed
+    to ``parse`` as its arguments; otherwise the line is one JSON value,
+    passed as the only argument. A line that fails (``parse`` raising
+    ValueError, KeyError, TypeError or InvalidParams counts, as does JSON
+    nested too deeply to decode) raises MalformedFile naming
+    ``path:line``; a file that is not UTF-8 raises it naming the path.
+    """
+    records = []
+    with open(path, encoding="utf-8") as f:
+        try:
+            for n, line in enumerate(f, 1):
+                if not line.strip():
+                    continue
+                if not tsv:
+                    records.append(parse(json.loads(line)))
+                    continue
+                fields = line.rstrip("\n").split("\t")
+                if len(fields) != tsv:
+                    raise MalformedFile(
+                        f"{path}:{n}: {len(fields)} tab-separated fields, expected {tsv}"
+                    )
+                records.append(parse(*fields))
+        except UnicodeDecodeError as exc:
+            raise MalformedFile(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except (ValueError, KeyError, TypeError, InvalidParams, RecursionError) as exc:
+            raise MalformedFile(f"{path}:{n}: {type(exc).__name__}: {exc}") from None
+    return records

@@ -3,7 +3,7 @@
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .corpus import ParallelCorpus, TokenSeq
+from .corpus import ParallelCorpus, TokenSeq, read_records
 from .errors import LengthMismatch
 
 
@@ -108,9 +108,8 @@ def save_table(table: TranslationTable, path) -> None:
 
 
 def load_table(path, direction: str = "src-tgt") -> TranslationTable:
-    entries = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            src_word, tgt_word, count, prob = line.rstrip("\n").split("\t")
-            entries[src_word] = TableEntry(tgt_word, int(count), float(prob))
-    return TranslationTable(entries, direction)
+    """Read a save_table dump; a repeated source word keeps its last row."""
+    rows = read_records(path, lambda src, tgt, count, prob: (
+        src, TableEntry(tgt, int(count), float(prob))
+    ), tsv=4)
+    return TranslationTable(dict(rows), direction)

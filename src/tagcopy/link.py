@@ -9,19 +9,20 @@ fixtures; both produce the same mention type, so everything downstream is
 agnostic about which one ran.
 
 Annotations are stored as JSON Lines, one record per sentence:
-``{"line_no": ..., "mentions": [{"start", "end", "surface", "uri",
-"hypernym"}, ...]}``.
+``{"line_no": ..., "mentions": [...]}``, each mention an object keyed by
+the fields of :class:`EntityMention`.
 """
 
 import json
 import logging
+import operator
 import re
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .corpus import TokenSeq
+from .corpus import TokenSeq, read_records
 from .errors import HttpError, InvalidParams, MalformedResponse
 
 log = logging.getLogger(__name__)
@@ -34,17 +35,6 @@ class EntityMention:
     surface: TokenSeq
     uri: str
     hypernym: TokenSeq | None = None
-
-
-@dataclass
-class MentionBundle:
-    """A mention together with everything the templates may substitute."""
-
-    mention: EntityMention
-    tgt_start: int  # projected target span [tgt_start, tgt_end)
-    tgt_end: int
-    translation: TokenSeq  # target tokens inside the projected span
-    hypernym_tgt: TokenSeq  # table-translated hypernym, or the source one
 
 
 class Gazetteer:
@@ -61,16 +51,14 @@ class Gazetteer:
     def from_tsv(cls, path) -> "Gazetteer":
         """Columns: surface form (space-separated tokens), uri, hypernym label
         (may be empty)."""
-        entries = {}
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                surface, uri, label = line.split("\t")
-                hypernym = label.lower().split() or None
-                entries[tuple(surface.split())] = (uri, hypernym)
-        return cls(entries)
+
+        def entry(surface, uri, label):
+            key = tuple(surface.split())
+            if not key:
+                raise ValueError("empty surface form")
+            return key, (uri, label.lower().split() or None)
+
+        return cls(dict(read_records(path, entry, tsv=3)))
 
 
 def annotate_gazetteer(sentence: TokenSeq, gazetteer: Gazetteer) -> list[EntityMention]:
@@ -297,15 +285,7 @@ class OfflineHypernyms:
 
     @classmethod
     def from_tsv(cls, path) -> "OfflineHypernyms":
-        mapping = {}
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                uri, label = line.split("\t")
-                mapping[uri] = label
-        return cls(mapping)
+        return cls(dict(read_records(path, lambda uri, label: (uri, label), tsv=2)))
 
     def lookup(self, uri: str) -> str | None:
         return self.mapping.get(uri)
@@ -387,31 +367,12 @@ def fill_hypernyms(mention_lists, resolver) -> int:
 def write_annotations(path, annotated: list[tuple[int, list[EntityMention]]]) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for line_no, mentions in annotated:
-            record = {
-                "line_no": line_no,
-                "mentions": [
-                    {
-                        "start": m.start,
-                        "end": m.end,
-                        "surface": m.surface,
-                        "uri": m.uri,
-                        "hypernym": m.hypernym,
-                    }
-                    for m in mentions
-                ],
-            }
+            record = {"line_no": line_no, "mentions": [vars(m) for m in mentions]}
             f.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def read_annotations(path) -> dict[int, list[EntityMention]]:
-    annotations: dict[int, list[EntityMention]] = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            annotations[record["line_no"]] = [
-                EntityMention(m["start"], m["end"], m["surface"], m["uri"], m.get("hypernym"))
-                for m in record["mentions"]
-            ]
-    return annotations
+    """Mentions by line_no; a repeated line_no keeps its last record."""
+    return dict(read_records(path, lambda record: (
+        operator.index(record["line_no"]), [EntityMention(**m) for m in record["mentions"]]
+    )))

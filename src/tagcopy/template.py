@@ -24,13 +24,14 @@ module scores against.
 """
 
 import json
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
-from .corpus import ParallelCorpus, TokenSeq
+from .corpus import ParallelCorpus, TokenSeq, read_records
 from .errors import InvalidParams, LengthMismatch, MissingComponent
 from .lexicon import TranslationTable, translate_tokens, translate_tokens_strict
-from .link import EntityMention, MentionBundle, project_entity_span
+from .link import EntityMention, project_entity_span
 
 
 class TemplateMethod(str, Enum):
@@ -117,12 +118,28 @@ PLAIN_VOCAB = TagVocabulary("<start>", "<mid1>", "<mid2>", "<end>")
 
 
 @dataclass
+class BundleRecord:
+    """One tagged mention with every component the templates may write.
+
+    The slot names of ``METHODS`` are field names here, and the fields, in
+    order, are the keys of a manifest bundle.
+    """
+
+    src_span: list[int]  # entity tokens [start, end) on the source side
+    tgt_span: list[int]  # projected translation [start, end) on the target side
+    entity: TokenSeq
+    translation: TokenSeq  # target tokens inside tgt_span
+    hypernym: TokenSeq
+    hypernym_tgt: TokenSeq  # table-translated hypernym, or the source one
+    uri: str = ""
+
+
+@dataclass
 class TaggedPair:
     src: TokenSeq
     tgt: TokenSeq
     method: TemplateMethod
-    bundles: list[MentionBundle]
-    tagged: bool
+    bundles: list[BundleRecord]  # empty when the pair is not tagged
     line_no: int
 
 
@@ -136,44 +153,39 @@ class TagStats:
         return self.tagged_pairs / self.total_pairs if self.total_pairs else 0.0
 
 
-def _tag_content(method: TemplateMethod, bundle: MentionBundle, vocab: TagVocabulary) -> TokenSeq:
+def _tag_content(method: TemplateMethod, bundle: BundleRecord, vocab: TagVocabulary) -> TokenSeq:
     """The token run the source side writes in place of the entity; a
     delimited method writes the same run on the target side."""
     spec = METHODS[method]
-    content = {
-        "entity": bundle.mention.surface,
-        "translation": bundle.translation,
-        "hypernym": bundle.mention.hypernym,
-    }
     for slot in spec.needs:
-        if not content[slot]:
+        if not getattr(bundle, slot):
             raise MissingComponent(f"method {method.value!r} needs a {slot}")
     if not spec.delimited:
-        return [tok for slot in spec.slots for tok in content[slot]]
+        return [tok for slot in spec.slots for tok in getattr(bundle, slot)]
     out: TokenSeq = []
     for opener, slot in zip((vocab.start, vocab.mid1, vocab.mid2), spec.slots):
         out.append(opener)
-        out.extend(content[slot])
+        out.extend(getattr(bundle, slot))
     out.append(vocab.end)
     return out
 
 
 def render_source_template(
     method: TemplateMethod,
-    bundle: MentionBundle,
+    bundle: BundleRecord,
     sentence: TokenSeq,
     vocab: TagVocabulary = SPECIAL_VOCAB,
 ) -> TokenSeq:
     """Replace the entity span of the source sentence with the template."""
     if not METHODS[method].slots:
         return list(sentence)
-    m = bundle.mention
-    return sentence[:m.start] + _tag_content(method, bundle, vocab) + sentence[m.end:]
+    start, end = bundle.src_span
+    return sentence[:start] + _tag_content(method, bundle, vocab) + sentence[end:]
 
 
 def render_target_template(
     method: TemplateMethod,
-    bundle: MentionBundle,
+    bundle: BundleRecord,
     tgt_sentence: TokenSeq,
     vocab: TagVocabulary = SPECIAL_VOCAB,
 ) -> TokenSeq:
@@ -184,14 +196,14 @@ def render_target_template(
     hypernym when they write one.
     """
     spec = METHODS[method]
+    start, end = bundle.tgt_span
     if spec.delimited:
-        content = _tag_content(method, bundle, vocab)
-        return tgt_sentence[:bundle.tgt_start] + content + tgt_sentence[bundle.tgt_end:]
+        return tgt_sentence[:start] + _tag_content(method, bundle, vocab) + tgt_sentence[end:]
     if "hypernym" not in spec.slots:
         return list(tgt_sentence)
     if not bundle.hypernym_tgt:
         raise MissingComponent(f"method {method.value!r} needs a target-side hypernym")
-    return tgt_sentence[:bundle.tgt_end] + bundle.hypernym_tgt + tgt_sentence[bundle.tgt_end:]
+    return tgt_sentence[:end] + bundle.hypernym_tgt + tgt_sentence[end:]
 
 
 def tag_corpus(
@@ -231,20 +243,19 @@ def tag_corpus(
             if span is None:
                 continue
             lo, hi = span
-            translation = pair.tgt[lo:hi]
             hypernym_tgt = translate_tokens_strict(table, m.hypernym) or list(m.hypernym)
-            bundles.append(MentionBundle(m, lo, hi, translation, hypernym_tgt))
-        if not bundles:
-            out.append(TaggedPair(list(pair.src), list(pair.tgt), method, [], False, pair.line_no))
-            continue
+            bundles.append(BundleRecord(
+                [m.start, m.end], [lo, hi], m.surface, pair.tgt[lo:hi], m.hypernym,
+                hypernym_tgt, m.uri,
+            ))
         src = list(pair.src)
         tgt = list(pair.tgt)
-        for b in sorted(bundles, key=lambda b: b.mention.start, reverse=True):
+        for b in sorted(bundles, key=lambda b: b.src_span[0], reverse=True):
             src = render_source_template(method, b, src, vocab)
-        for b in sorted(bundles, key=lambda b: b.tgt_start, reverse=True):
+        for b in sorted(bundles, key=lambda b: b.tgt_span[0], reverse=True):
             tgt = render_target_template(method, b, tgt, vocab)
-        tagged_pairs += 1
-        out.append(TaggedPair(src, tgt, method, bundles, True, pair.line_no))
+        tagged_pairs += bool(bundles)
+        out.append(TaggedPair(src, tgt, method, bundles, pair.line_no))
     return out, TagStats(len(corpus.pairs), tagged_pairs)
 
 
@@ -362,19 +373,6 @@ def detag(
 
 
 @dataclass
-class BundleRecord:
-    """Manifest view of one tagged bundle (plain lists, JSON-shaped)."""
-
-    src_span: list[int]
-    tgt_span: list[int]
-    entity: TokenSeq
-    translation: TokenSeq
-    hypernym: TokenSeq
-    hypernym_tgt: TokenSeq
-    uri: str
-
-
-@dataclass
 class ManifestEntry:
     line_no: int  # row index in the tagged parallel files
     method: TemplateMethod
@@ -388,7 +386,7 @@ def write_tagged(
     tgt_path,
     manifest_path,
     vocab: TagVocabulary,
-) -> TagStats:
+) -> None:
     """Write the tagged parallel files plus the manifest of tagged rows.
 
     Manifest line_no refers to the row index in the emitted files (the
@@ -398,63 +396,27 @@ def write_tagged(
         for tp in tagged:
             fs.write(" ".join(tp.src) + "\n")
             ft.write(" ".join(tp.tgt) + "\n")
-    n_tagged = 0
     with open(manifest_path, "w", encoding="utf-8") as f:
         for row, tp in enumerate(tagged):
-            if not tp.tagged:
-                continue
-            n_tagged += 1
-            record = {
-                "line_no": row,
-                "method": tp.method.value,
-                "tag_vocab": {
-                    "start": vocab.start,
-                    "mid1": vocab.mid1,
-                    "mid2": vocab.mid2,
-                    "end": vocab.end,
-                },
-                "bundles": [
-                    {
-                        "src_span": [b.mention.start, b.mention.end],
-                        "tgt_span": [b.tgt_start, b.tgt_end],
-                        "entity": b.mention.surface,
-                        "translation": b.translation,
-                        "hypernym": b.mention.hypernym,
-                        "hypernym_tgt": b.hypernym_tgt,
-                        "uri": b.mention.uri,
-                    }
-                    for b in tp.bundles
-                ],
-            }
-            f.write(json.dumps(record, ensure_ascii=False) + "\n")
-    return TagStats(len(tagged), n_tagged)
+            if tp.bundles:
+                record = {
+                    "line_no": row,
+                    "method": tp.method.value,
+                    "tag_vocab": vars(vocab),
+                    "bundles": [vars(b) for b in tp.bundles],
+                }
+                f.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def _manifest_entry(record) -> ManifestEntry:
+    tv = record["tag_vocab"]
+    return ManifestEntry(
+        operator.index(record["line_no"]),
+        TemplateMethod(record["method"]),
+        TagVocabulary(tv["start"], tv["mid1"], tv["mid2"], tv["end"]),
+        [BundleRecord(**b) for b in record["bundles"]],
+    )
 
 
 def read_manifest(path) -> list[ManifestEntry]:
-    entries = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            tv = record["tag_vocab"]
-            entries.append(
-                ManifestEntry(
-                    line_no=record["line_no"],
-                    method=TemplateMethod(record["method"]),
-                    vocab=TagVocabulary(tv["start"], tv["mid1"], tv["mid2"], tv["end"]),
-                    bundles=[
-                        BundleRecord(
-                            src_span=b["src_span"],
-                            tgt_span=b["tgt_span"],
-                            entity=b["entity"],
-                            translation=b["translation"],
-                            hypernym=b["hypernym"],
-                            hypernym_tgt=b["hypernym_tgt"],
-                            uri=b.get("uri", ""),
-                        )
-                        for b in record["bundles"]
-                    ],
-                )
-            )
-    return entries
+    return read_records(path, _manifest_entry)

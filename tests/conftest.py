@@ -7,7 +7,7 @@ from tagcopy.align import read_pharaoh
 from tagcopy.corpus import ParallelCorpus, SentencePair, read_parallel
 from tagcopy.lexicon import build_translation_table
 from tagcopy.link import Gazetteer, annotate_gazetteer
-from tagcopy.template import BundleRecord, ManifestEntry
+from tagcopy.template import ManifestEntry
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -56,27 +56,7 @@ def load_spotlight_fixture(name: str) -> dict:
 
 def manifest_from_tagged(tagged, vocab) -> list[ManifestEntry]:
     """In-memory equivalent of write_tagged + read_manifest."""
-    entries = []
-    for row, tp in enumerate(tagged):
-        if not tp.tagged:
-            continue
-        entries.append(
-            ManifestEntry(
-                row,
-                tp.method,
-                vocab,
-                [
-                    BundleRecord(
-                        [b.mention.start, b.mention.end],
-                        [b.tgt_start, b.tgt_end],
-                        list(b.mention.surface),
-                        list(b.translation),
-                        list(b.mention.hypernym),
-                        list(b.hypernym_tgt),
-                        b.mention.uri,
-                    )
-                    for b in tp.bundles
-                ],
-            )
-        )
-    return entries
+    return [
+        ManifestEntry(row, tp.method, vocab, tp.bundles)
+        for row, tp in enumerate(tagged) if tp.bundles
+    ]

@@ -20,7 +20,7 @@ from tagcopy.align import (
     vector_links,
 )
 from tagcopy.corpus import ParallelCorpus, SentencePair
-from tagcopy.link import EntityMention, MentionBundle, SpotlightClient
+from tagcopy.link import SpotlightClient
 from tagcopy.metrics import bleu, copy_accuracy, pos_accuracy, significance, write_copy_tsv
 from tagcopy.template import (
     PLAIN_VOCAB,
@@ -114,7 +114,7 @@ def test_criterion_05_method_parity(toy_corpus, toy_annotations, toy_gold_alignm
                 toy_corpus, toy_annotations, toy_gold_alignments, toy_table, method
             )
             span_sets.append({
-                (tp.line_no, b.mention.start, b.mention.end)
+                (tp.line_no, *b.src_span)
                 for tp in tagged for b in tp.bundles
             })
             assert abs(stats.tag_fraction - 0.25) <= 0.005, stats.tag_fraction
@@ -262,8 +262,8 @@ def test_criterion_10_pipeline_determinism(tmp_path, toy_dir):
 def test_criterion_11_template_fidelity():
     with criterion(11, "the six reference template rows render token-for-token"):
         sentence = "myanmar was a highly civilized country .".split()
-        mention = EntityMention(0, 1, ["myanmar"], "http://example.org/kb/Myanmar", ["state"])
-        b = MentionBundle(mention, 0, 1, ["缅甸"], ["国家"])
+        b = BundleRecord([0, 1], [0, 1], ["myanmar"], ["缅甸"], ["state"], ["国家"],
+                         "http://example.org/kb/Myanmar")
         tail = "was a highly civilized country ."
         # the single mid separator and transa's first separator are the same
         # underlying token, printed here under its transa name
@@ -282,10 +282,8 @@ def test_criterion_11_template_fidelity():
         # the reserved-token vocabulary renders the same layout on the target
         # side: source-language entity and hypernym appear in target output
         tgt = ["in", "x", "冈比亚", "y"]
-        gb = MentionBundle(
-            EntityMention(2, 3, ["gambia"], "http://example.org/kb/Gambia", ["country"]),
-            2, 3, ["冈比亚"], ["country"],
-        )
+        gb = BundleRecord([2, 3], [2, 3], ["gambia"], ["冈比亚"], ["country"], ["country"],
+                          "http://example.org/kb/Gambia")
         from tagcopy.template import render_target_template
 
         got = render_target_template(M.TRANSA, gb, tgt, SPECIAL_VOCAB)

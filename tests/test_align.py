@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from collections import defaultdict
 
 import pytest
@@ -339,12 +340,36 @@ class TestPersistence:
         write_pharaoh([{(2, 1), (0, 0), (1, 5)}], tmp_path / "a.align")
         assert (tmp_path / "a.align").read_text(encoding="utf-8") == "0-0 1-5 2-1\n"
 
-    @pytest.mark.parametrize("bad", ["0-x", "1-2-3", "5"])
+    @pytest.mark.parametrize("bad", ["0-x", "1-2-3", "5", "1--2", "+1-2", "1-+2", "1_0-2"])
     def test_pharaoh_malformed_link_names_path_and_line(self, tmp_path, bad):
         path = tmp_path / "a.align"
         path.write_text(f"0-0\n1-1 {bad} 2-2\n", encoding="utf-8")
-        with pytest.raises(MalformedFile, match=f"a.align:2: bad link '{bad}'"):
+        with pytest.raises(MalformedFile, match=re.escape(f"a.align:2: bad link '{bad}'")):
             read_pharaoh(path)
+
+    @pytest.mark.parametrize("dump, where", [
+        ("tension\t4.0\np0\t0.08\na\tb\t0.5\textra\n", "m.tsv:3: neither"),
+        ("tension\t4.0\np0\t0.08\na\tb\tx\n", "m.tsv:3: neither"),
+        ("tension\tfour\np0\t0.08\na\tb\t0.5\n", "m.tsv:1: neither"),
+        ("tension\t4.0\np0\t0.08\nbogus\t1\n", "m.tsv:3: neither"),
+        ("direction\tsideways\ntension\t4.0\np0\t0.08\n", "m.tsv:1: neither"),
+        ("tension\t4.0\na b 0.5\np0\t0.08\n", "m.tsv:2: neither"),
+        ("p0\t0.08\na\tb\t0.5\n", "m.tsv:3: end of file before a 'tension' header"),
+        ("tension\t4.0\na\tb\t0.5\n\n", "m.tsv:4: end of file before a 'p0' header"),
+        ("", "m.tsv:1: end of file before a 'tension' header"),
+    ])
+    def test_malformed_model_names_path_and_line(self, tmp_path, dump, where):
+        path = tmp_path / "m.tsv"
+        path.write_text(dump, encoding="utf-8")
+        with pytest.raises(MalformedFile, match=where):
+            load_model(path)
+
+    def test_model_blank_lines_and_missing_direction_are_fine(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_text("tension\t4.0\n\np0\t0.08\na\tb\t0.5\n", encoding="utf-8")
+        model = load_model(path)
+        assert (model.direction, model.tension, model.p0) == (FORWARD, 4.0, 0.08)
+        assert model.theta["a"]["b"] == 0.5
 
     def test_pharaoh_not_utf8(self, tmp_path):
         path = tmp_path / "a.align"

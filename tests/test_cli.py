@@ -134,6 +134,37 @@ class TestAlignChain:
         assert f"{tmp_path / 'f'}:2: bad link '0-x'" in capsys.readouterr().err
 
 
+class TestMalformedFiles:
+    # good lines, then one of the wrong shape, and that line's number
+    BAD = {
+        "table": ("a\tb\t1\t0.5\nc\td\t1\n", 2),
+        "manifest": ('{"line_no": 0, "method": "tag", "tag_vocab": {"start": "<s>", "mid1": "<m>", '
+                     '"mid2": "<n>", "end": "<e>"}, "bundles": []}\n{"line_no": 1}\n', 2),
+        "annotations": ('{"line_no": 0, "mentions": []}\n{"line_no": 1, "mentions": 7}\n', 2),
+        "model": ("tension\t4.0\np0\t0.08\na\tb\t0.5\textra\n", 3),
+    }
+
+    @pytest.mark.parametrize("kind", BAD)
+    def test_exits_2_naming_path_and_line(self, tmp_path, toy_dir, capsys, kind):
+        text, line = self.BAD[kind]
+        bad = tmp_path / kind
+        bad.write_text(text, encoding="utf-8")
+        out = str(tmp_path / "out")
+        argv = {
+            "table": ["detag", "--in", str(toy_dir / "tgt.zz"), "--method", "tag",
+                      "--table", str(bad), "--out", out],
+            "manifest": ["eval-copy", "--outputs", str(toy_dir / "tgt.zz"), "--manifest", str(bad)],
+            "annotations": ["link-hypernyms", "--annotations", str(bad),
+                            "--hypernyms", str(toy_dir / "hypernyms.tsv"), "--out", out],
+            "model": ["align-apply", "--model", str(bad), "--src", str(toy_dir / "src.en"),
+                      "--tgt", str(toy_dir / "tgt.zz"), "--out", out],
+        }[kind]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:{line}: " in err
+        assert "Traceback" not in err
+
+
 class TestLinkCommands:
     def test_annotate_gazetteer(self, prepared):
         by_line = read_annotations(prepared["annotations"])

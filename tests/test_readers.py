@@ -1,0 +1,188 @@
+"""The on-disk readers: a malformed line raises MalformedFile naming
+path:line, arbitrary bytes let no other exception out, and the JSON Lines
+readers return what their writers were given."""
+
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tagcopy.align import load_model, read_pharaoh
+from tagcopy.corpus import ParallelCorpus, SentencePair
+from tagcopy.errors import MalformedFile
+from tagcopy.lexicon import TableEntry, TranslationTable, load_table
+from tagcopy.link import (
+    EntityMention,
+    Gazetteer,
+    OfflineHypernyms,
+    read_annotations,
+    write_annotations,
+)
+from tagcopy.template import (
+    PLAIN_VOCAB,
+    SPECIAL_VOCAB,
+    TemplateMethod,
+    read_manifest,
+    tag_corpus,
+    write_tagged,
+)
+
+READERS = {
+    "pharaoh": read_pharaoh,
+    "model": load_model,
+    "table": load_table,
+    "annotations": read_annotations,
+    "manifest": read_manifest,
+    "gazetteer": Gazetteer.from_tsv,
+    "hypernyms": OfflineHypernyms.from_tsv,
+}
+
+# fragments of every format, so that random text often gets past the
+# first field or the first JSON key
+PIECES = [
+    "\t", "\n", "\r", " ", "-", "0", "1", "+1", "0.5", "x", "tension", "p0", "direction",
+    '{"line_no": 0, "mentions": [', '{"start": 0, "end": 1, "surface": ["a"], "uri": "u"}',
+    '{"line_no": 0, "method": "tag", "tag_vocab": {"start": "<s>", "mid1": "<m>", '
+    '"mid2": "<n>", "end": "<e>"}, "bundles": [',
+    '{"src_span": [0, 1], "tgt_span": [0, 1], "entity": ["a"], "translation": ["b"], '
+    '"hypernym": ["h"], "hypernym_tgt": ["h"]}',
+    "]", "}", ",", '"', "[", "null",
+]
+format_text = st.lists(st.sampled_from(PIECES) | st.text(max_size=3), max_size=30).map(
+    lambda parts: "".join(parts).encode()
+)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("readers") / "input"
+
+
+@pytest.mark.parametrize("reader", READERS.values(), ids=READERS.keys())
+@settings(max_examples=150, deadline=None)
+@given(data=st.binary(max_size=200) | format_text)
+def test_only_malformed_file_escapes(scratch, reader, data):
+    scratch.write_bytes(data)
+    try:
+        reader(scratch)
+    except MalformedFile as exc:
+        assert str(exc).startswith(f"{scratch}:")
+
+
+VOCAB = '"tag_vocab": {"start": "<s>", "mid1": "<m>", "mid2": "<n>", "end": "<e>"}'
+BUNDLE = ('"src_span": [0, 1], "tgt_span": [0, 1], "entity": ["a"], "translation": ["b"], '
+          '"hypernym": ["h"], "hypernym_tgt": ["h"]')
+MENTION = '"start": 0, "end": 1, "surface": ["a"], "uri": "u"'
+
+
+@pytest.mark.parametrize("reader, text, where", [
+    ("table", "a\tb\t1\t0.5\nc\td\t1\n", ":2: 3 tab-separated fields, expected 4"),
+    ("table", "a\tb\t1\t0.5\n\nc\td\tone\t0.5\n", ":3: ValueError"),
+    ("gazetteer", "new york\tkb:NY\tcity\nx\tkb:X\n", ":2: 2 tab-separated fields"),
+    ("gazetteer", "new york\tkb:NY\tcity\n \tkb:X\tcity\n", ":2: ValueError: empty surface"),
+    ("hypernyms", "kb:A\tcity\nkb:B\tcity\tx\n", ":2: 3 tab-separated fields, expected 2"),
+    ("annotations", '{"line_no": 0, "mentions": []}\n{"line_no": 1}\n', ":2: KeyError"),
+    ("annotations", '{"line_no": 0, "mentions": []}\nnot json\n', ":2: JSONDecodeError"),
+    ("annotations", '{"line_no": "0", "mentions": []}\n', ":1: TypeError"),
+    ("annotations", '{"line_no": 0, "mentions": [{%s, "x": 1}]}\n' % MENTION, ":1: TypeError"),
+    ("annotations", "[" * 100000 + "\n", ":1: RecursionError"),
+    ("manifest", '{"line_no": 0, "method": "tagg", %s, "bundles": []}\n' % VOCAB, ":1: ValueError"),
+    ("manifest", '{"line_no": 0, "method": "tag", %s, "bundles": [{"uri": "u"}]}\n' % VOCAB,
+     ":1: TypeError"),
+    ("manifest", '{"line_no": 0, "method": "tag", "bundles": [{%s}]}\n' % BUNDLE, ":1: KeyError"),
+    ("manifest", '\n{"line_no": 0, "method": "tag", "tag_vocab": {"start": "<s>", "mid1": "<s>", '
+     '"mid2": "<n>", "end": "<e>"}, "bundles": []}\n', ":2: InvalidParams"),
+])
+def test_malformed_line_names_path_and_line(tmp_path, reader, text, where):
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(MalformedFile, match=re.escape(f"{path}{where}")):
+        READERS[reader](path)
+
+
+@pytest.mark.parametrize("reader", READERS.values(), ids=READERS.keys())
+def test_not_utf8_names_path(tmp_path, reader):
+    path = tmp_path / "input"
+    path.write_bytes(b"\xff\xfe\n")
+    with pytest.raises(MalformedFile, match=re.escape(f"{path}: not UTF-8")):
+        reader(path)
+
+
+def test_lenient_rows_still_load(tmp_path):
+    """Blank lines are skipped, a repeated key keeps its last row, and a
+    manifest bundle may leave out its uri."""
+    table = tmp_path / "t.tsv"
+    table.write_text("a\tb\t1\t0.5\n\na\tc\t2\t1.0\n", encoding="utf-8")
+    assert load_table(table).entries == {"a": TableEntry("c", 2, 1.0)}
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text('{"line_no": 3, "method": "tag", %s, "bundles": [{%s}]}\n\n'
+                        % (VOCAB, BUNDLE), encoding="utf-8")
+    (entry,) = read_manifest(manifest)
+    assert entry.line_no == 3 and entry.bundles[0].uri == ""
+
+
+# ---------------------------------------------------------------------------
+# writers round-trip through their readers
+
+token = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Z")), min_size=1, max_size=4)
+tokens = st.lists(token, min_size=1, max_size=6)
+
+
+@st.composite
+def mentions(draw, src):
+    """Non-overlapping mentions over a source sentence, some of them
+    without a uri or a hypernym."""
+    out = []
+    start = draw(st.integers(0, len(src)))
+    while start < len(src) and len(out) < 3:
+        end = draw(st.integers(start + 1, len(src)))
+        out.append(EntityMention(
+            start, end, src[start:end],
+            draw(st.sampled_from(["", "kb:A", "kb:B"])), draw(st.none() | tokens),
+        ))
+        start = draw(st.integers(end, len(src)))
+    return out
+
+
+@st.composite
+def tagging_inputs(draw):
+    pairs, annotations, alignments = [], [], []
+    for k in range(draw(st.integers(1, 6))):
+        src, tgt = draw(tokens), draw(tokens)
+        pairs.append(SentencePair(src, tgt, k))
+        annotations.append(draw(mentions(src)))
+        alignments.append(draw(st.sets(
+            st.tuples(st.integers(0, len(src) - 1), st.integers(0, len(tgt) - 1)), max_size=8,
+        )))
+    table = TranslationTable({w: TableEntry(t, 1, 1.0)
+                              for w, t in draw(st.dictionaries(token, token, max_size=4)).items()})
+    method = draw(st.sampled_from(list(TemplateMethod)))
+    vocab = draw(st.sampled_from([SPECIAL_VOCAB, PLAIN_VOCAB]))
+    return ParallelCorpus(pairs), annotations, alignments, table, method, vocab
+
+
+@settings(max_examples=150, deadline=None)
+@given(tagging_inputs())
+def test_manifest_round_trips_tagged_bundles(scratch, inputs):
+    corpus, annotations, alignments, table, method, vocab = inputs
+    tagged, _ = tag_corpus(corpus, annotations, alignments, table, method, vocab)
+    files = [scratch.with_suffix(ext) for ext in (".src", ".tgt", ".jsonl")]
+    write_tagged(tagged, *files, vocab)
+    entries = read_manifest(files[2])
+    rows = [(row, tp.bundles) for row, tp in enumerate(tagged) if tp.bundles]
+    assert [(e.line_no, e.bundles) for e in entries] == rows
+    assert all(e.method is method and e.vocab == vocab for e in entries)
+
+
+mention = st.builds(
+    EntityMention, st.integers(), st.integers(), st.lists(st.text()), st.text(),
+    st.none() | st.lists(st.text()),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.integers(), st.lists(mention, max_size=3), max_size=5))
+def test_annotations_round_trip(scratch, annotated):
+    write_annotations(scratch, list(annotated.items()))
+    assert read_annotations(scratch) == annotated

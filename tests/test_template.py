@@ -1,15 +1,17 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from conftest import make_corpus
 from tagcopy.errors import InvalidParams, LengthMismatch, MissingComponent
 from tagcopy.lexicon import TableEntry, TranslationTable
-from tagcopy.link import EntityMention, MentionBundle
+from tagcopy.link import EntityMention
 from tagcopy.template import (
     PLAIN_VOCAB,
     SPECIAL_VOCAB,
     TAGGED_METHODS,
+    BundleRecord,
     TagVocabulary,
     TemplateMethod,
     detag,
@@ -28,12 +30,11 @@ M = TemplateMethod
 def bundle(entity, translation=(), hypernym=None, hypernym_tgt=(), start=0, tgt_start=0, tgt_len=None):
     entity = list(entity)
     translation = list(translation)
-    mention = EntityMention(
-        start, start + len(entity), entity, "http://example.org/kb/X",
-        list(hypernym) if hypernym else None,
-    )
     tgt_end = tgt_start + (tgt_len if tgt_len is not None else len(translation))
-    return MentionBundle(mention, tgt_start, tgt_end, translation, list(hypernym_tgt))
+    return BundleRecord(
+        [start, start + len(entity)], [tgt_start, tgt_end], entity, translation,
+        list(hypernym) if hypernym else None, list(hypernym_tgt), "http://example.org/kb/X",
+    )
 
 
 def identity_table(tokens):
@@ -128,7 +129,7 @@ class TestTagCorpus:
         )
         assert stats.tagged_pairs == 1
         assert stats.tag_fraction == pytest.approx(0.25)
-        assert tagged[0].tagged and not tagged[1].tagged
+        assert tagged[0].bundles and not tagged[1].bundles
 
     def test_rejected_projection_untags_pair_for_every_method(self):
         corpus = make_corpus([("myanmar was", "saw ramnaym")])
@@ -198,7 +199,7 @@ class TestTagCorpus:
                 toy_corpus, toy_annotations, toy_gold_alignments, toy_table, method
             )
             tagged_sets.append({
-                (tp.line_no, b.mention.start, b.mention.end)
+                (tp.line_no, *b.src_span)
                 for tp in tagged for b in tp.bundles
             })
             assert stats.tag_fraction == pytest.approx(0.25)
@@ -308,7 +309,7 @@ def run_round_trips(n_cases: int, seed: int = 202408) -> int:
     failures = 0
     for _ in range(n_cases):
         sentence, start, end, b = _random_case(rng, pool)
-        table = identity_table(b.mention.surface)
+        table = identity_table(b.entity)
         substituted = sentence[:start] + b.translation + sentence[end:]
         for method in TAGGED_METHODS + (M.BASELINE,):
             rendered = render_source_template(method, b, sentence, PLAIN_VOCAB)
@@ -323,8 +324,7 @@ def run_round_trips(n_cases: int, seed: int = 202408) -> int:
             # with the entity as its own translation, trans/transa restore
             # the original sentence exactly
             if method in (M.TRANS, M.TRANSA):
-                b_id = MentionBundle(b.mention, b.tgt_start, b.tgt_end,
-                                     list(b.mention.surface), b.hypernym_tgt)
+                b_id = replace(b, translation=list(b.entity))
                 rendered_id = render_source_template(method, b_id, sentence, PLAIN_VOCAB)
                 out_id, _ = detag(rendered_id, method, table, PLAIN_VOCAB)
                 ok = ok and out_id == sentence
@@ -401,25 +401,17 @@ class TestManifest:
         tagged, stats = tag_corpus(
             toy_corpus, toy_annotations, toy_gold_alignments, toy_table, M.TRANSA
         )
-        out = write_tagged(
+        write_tagged(
             tagged, tmp_path / "t.src", tmp_path / "t.tgt", tmp_path / "t.jsonl", SPECIAL_VOCAB
         )
-        assert out.tagged_pairs == stats.tagged_pairs
         entries = read_manifest(tmp_path / "t.jsonl")
         assert len(entries) == stats.tagged_pairs
         by_line = {e.line_no: e for e in entries}
         for row, tp in enumerate(tagged):
-            if not tp.tagged:
+            if not tp.bundles:
                 assert row not in by_line
                 continue
             entry = by_line[row]
             assert entry.method is M.TRANSA
             assert entry.vocab == SPECIAL_VOCAB
-            assert len(entry.bundles) == len(tp.bundles)
-            for rec, b in zip(entry.bundles, tp.bundles):
-                assert rec.entity == b.mention.surface
-                assert rec.translation == b.translation
-                assert rec.hypernym == b.mention.hypernym
-                assert rec.hypernym_tgt == b.hypernym_tgt
-                assert rec.src_span == [b.mention.start, b.mention.end]
-                assert rec.tgt_span == [b.tgt_start, b.tgt_end]
+            assert entry.bundles == tp.bundles
