@@ -34,7 +34,9 @@ File formats
 Alignments use Pharaoh format: one line per sentence pair, space-separated
 ``i-j`` links, 0-based, source index first (in both directions). Models are
 dumped as TSV text with ``repr`` floats, so a dump reloads to the exact
-same model.
+model that was saved. The CLI saves and decodes a model cut by
+:func:`prune_model`: each row keeps the entries at or above ``PRUNE_RATIO``
+of the row's maximum, and the NULL row stays whole.
 """
 
 import math
@@ -68,6 +70,9 @@ HEURISTICS = ("intersection", "union", "grow-diag-final-and")
 # parsed per read
 _SAVE_ENTRIES = 1 << 12
 _LOAD_BYTES = 1 << 17
+
+# prune_model keeps an entry at or above this fraction of its row's maximum
+PRUNE_RATIO = 1e-6
 
 # a model dump's header lines: key -> parser of the value (a direction
 # other than the two raises KeyError)
@@ -351,16 +356,55 @@ def _reestimate(probs, counts, rows, n_rows: int, vb: bool, alpha: float) -> Non
 
     totals = np.bincount(rows, weights=counts, minlength=n_rows)
     if vb:
-        from scipy.special import digamma  # heavyweight import, only needed here
-
-        denom = digamma(totals + alpha * np.bincount(rows, minlength=n_rows))
-        np.exp(digamma(counts + alpha) - denom[rows], out=probs)
+        denom = _digamma(totals + alpha * np.bincount(rows, minlength=n_rows))
+        np.exp(_digamma(counts + alpha) - denom[rows], out=probs)
         return
     # a row with no mass (e.g. the NULL row with p0 = 0) keeps its previous
     # probabilities
     live = totals > 0.0
     inv = 1.0 / np.where(live, totals, 1.0)
     np.copyto(probs, np.multiply(counts, inv[rows], out=counts), where=live[rows])
+
+
+def _digamma(x):
+    """The digamma function of a float64 array of positive values.
+
+    Shifts every value to at least 6 with psi(x) = psi(x + 1) - 1/x, then
+    sums the asymptotic series ln x - 1/(2x) - sum_k B_2k / (2k x^2k)
+    through k = 6, whose first omitted term is below 2e-12 at x = 6.
+    """
+    import numpy as np
+
+    shift = np.zeros_like(x)
+    for _ in range(6):  # x > 0 reaches 6 within six steps
+        small = x < 6.0
+        shift -= np.where(small, 1.0 / x, 0.0)
+        x = np.where(small, x + 1.0, x)
+    inv2 = 1.0 / (x * x)
+    series = inv2 * (1 / 12 - inv2 * (1 / 120 - inv2 * (1 / 252 - inv2 * (
+        1 / 240 - inv2 * (1 / 132 - inv2 * (691 / 32760))))))
+    return shift + (np.log(x) - 0.5 / x - series)
+
+
+def prune_model(model: AlignModel) -> AlignModel:
+    """The model with each theta row cut to its entries at or above
+    ``PRUNE_RATIO`` times the row's maximum, so every row keeps its best
+    entry. The NULL row is kept whole: with ``p0 > 0`` every word emitted
+    in training keeps a nonzero probability. Vocabularies, hyperparameters
+    and the perplexity history are unchanged.
+    """
+    import numpy as np
+
+    theta = model.theta
+    rows = theta.pair_keys // len(theta.emit)
+    best = np.zeros(len(theta.cond))
+    np.maximum.at(best, rows, theta.probs)
+    keep = theta.probs >= PRUNE_RATIO * best[rows]
+    if NULL_WORD in theta.cond_id:
+        keep |= rows == theta.cond_id[NULL_WORD]
+    pruned = Theta(theta.cond, theta.emit, theta.pair_keys[keep], theta.probs[keep])
+    return AlignModel(pruned, model.tension, model.p0, model.direction,
+                      list(model.perplexity_history))
 
 
 def align_corpus(model: AlignModel, corpus: ParallelCorpus) -> list[AlignmentVector]:

@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import json
 import logging
+import operator
 import os
 import sys
 from pathlib import Path
@@ -27,6 +28,7 @@ from .config import (
 from .corpus import (
     NormProfile,
     read_parallel,
+    read_records,
     split_holdout,
     tokenize_normalize,
     write_parallel,
@@ -62,7 +64,9 @@ def write_token_lines(rows, path) -> None:
 
 
 def _train_and_save(corpus, params: AlignerParams, direction: str, path) -> align.AlignModel:
-    model = align.train_alignment(
+    """Train, prune and save; the pruned model is returned, so a pipeline
+    decodes exactly the model ``align-apply`` reloads."""
+    model = align.prune_model(align.train_alignment(
         corpus,
         iterations=params.iterations,
         tension=params.tension,
@@ -70,7 +74,7 @@ def _train_and_save(corpus, params: AlignerParams, direction: str, path) -> alig
         vb=params.vb,
         alpha=params.alpha,
         direction=direction,
-    )
+    ))
     for k, perp in enumerate(model.perplexity_history):
         log.info("iteration %d: perplexity %.4f", k, perp)
     align.save_model(model, path)
@@ -94,6 +98,33 @@ def _build_and_save_table(corpus, alignments, min_count: int, path) -> lexicon.T
     table = lexicon.build_translation_table(corpus, alignments, min_count)
     lexicon.save_table(table, path)
     return table
+
+
+def _make_annotator(linker: LinkerParams):
+    """Returns (annotate(sentences) -> list of mention lists)."""
+    if linker.mode == "gazetteer":
+        gaz = link.Gazetteer.from_tsv(linker.gazetteer)
+        return lambda sentences: [link.annotate_gazetteer(s, gaz) for s in sentences]
+    client = link.SpotlightClient(linker.endpoint, linker.confidence)
+    return lambda sentences: link.annotate_corpus(client, sentences)
+
+
+def _annotate_and_write(src_path, profile, linker: LinkerParams, resolver, path) -> dict:
+    """Annotate every source line that is not empty after normalization,
+    whether or not its pair survives ``read_parallel``, fill missing
+    hypernyms from ``resolver`` if one is given, and write one row per
+    line. Returns the mentions by line number."""
+    with open(src_path, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    sentences = {}
+    for i, raw in enumerate(lines):
+        if tokens := tokenize_normalize(raw, profile):
+            sentences[i] = tokens
+    by_line = dict(zip(sentences, _make_annotator(linker)(list(sentences.values()))))
+    if resolver is not None:
+        link.fill_hypernyms(by_line.values(), resolver)
+    link.write_annotations(path, list(by_line.items()))
+    return by_line
 
 
 def _tag_and_write(corpus, annotations, alignments, table, method, vocab, out) -> template.TagStats:
@@ -152,31 +183,13 @@ def cmd_lexicon_build(args) -> int:
     return 0
 
 
-def _make_annotator(linker: LinkerParams):
-    """Returns (annotate(sentences) -> list of mention lists)."""
-    if linker.mode == "gazetteer":
-        gaz = link.Gazetteer.from_tsv(linker.gazetteer)
-        return lambda sentences: [link.annotate_gazetteer(s, gaz) for s in sentences]
-    client = link.SpotlightClient(linker.endpoint, linker.confidence)
-    return lambda sentences: link.annotate_corpus(client, sentences)
-
-
 def cmd_link_annotate(args) -> int:
     endpoint = args.endpoint or os.environ.get("LINKER_ENDPOINT")
     linker = LinkerParams(args.mode, args.gazetteer, None, endpoint, args.confidence)
     check_linker(linker)
-    profile = _profile(args)
-    with open(args.src, encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    sentences = []
-    for i, raw in enumerate(lines):
-        tokens = tokenize_normalize(raw, profile)
-        if tokens:
-            sentences.append((i, tokens))
-    mention_lists = _make_annotator(linker)([s for _, s in sentences])
-    link.write_annotations(args.out, [(i, m) for (i, _), m in zip(sentences, mention_lists)])
-    n = sum(1 for m in mention_lists if m)
-    print(f"annotated {n}/{len(sentences)} sentences with at least one mention")
+    by_line = _annotate_and_write(args.src, _profile(args), linker, None, args.out)
+    n = sum(1 for m in by_line.values() if m)
+    print(f"annotated {n}/{len(by_line)} sentences with at least one mention")
     return 0
 
 
@@ -234,7 +247,8 @@ def cmd_detag(args) -> int:
 
 
 def _manifest_subset(path) -> set[int]:
-    return {entry.line_no for entry in template.read_manifest(path)}
+    """The line numbers of a manifest's records; the bundles are not read."""
+    return set(read_records(path, lambda record: operator.index(record["line_no"])))
 
 
 def cmd_eval_bleu(args) -> int:
@@ -354,14 +368,13 @@ def cmd_pipeline_run(args) -> int:
         log.info("[lexicon] %d entries", len(table))
 
         stage = "link"
-        mention_lists = _make_annotator(cfg.linker)([pair.src for pair in corpus.pairs])
+        resolver = None
         if cfg.linker.mode == "remote" and cfg.linker.hypernyms:
             resolver = link.OfflineHypernyms.from_tsv(cfg.linker.hypernyms)
-            link.fill_hypernyms(mention_lists, resolver)
-        link.write_annotations(
-            artifact("link/annotations.jsonl"),
-            [(p.line_no, m) for p, m in zip(corpus.pairs, mention_lists)],
+        by_line = _annotate_and_write(
+            cfg.src, cfg.profile, cfg.linker, resolver, artifact("link/annotations.jsonl")
         )
+        mention_lists = [by_line[pair.line_no] for pair in corpus.pairs]
 
         stage = "tag"
         for method in cfg.methods:

@@ -161,3 +161,24 @@ def read_records(path, parse, tsv: int = 0) -> list:
         except (ValueError, KeyError, TypeError, InvalidParams, RecursionError) as exc:
             raise MalformedFile(f"{path}:{n}: {type(exc).__name__}: {exc}") from None
     return records
+
+
+def check_json_values(spans=(), tokens=(), text=()) -> None:
+    """Check the JSON values a record was built from: each of ``spans`` a
+    token span ``[start, end]``, two ints with ``0 <= start < end``; each of
+    ``tokens`` a list of str; each of ``text`` a str. A wrong type raises
+    TypeError and an empty or negative span ValueError, which
+    :func:`read_records` reports as MalformedFile."""
+    for span in spans:
+        if (type(span) is not list or len(span) != 2
+                or type(span[0]) is not int or type(span[1]) is not int):
+            raise TypeError(f"a span must be two ints, got {span!r}")
+        if not 0 <= span[0] < span[1]:
+            raise ValueError(f"span {span!r} is not 0 <= start < end")
+    for value in tokens:
+        if type(value) is not list:
+            raise TypeError(f"tokens must be a list of str, got {value!r}")
+        "".join(value)  # raises TypeError naming an item that is not a str
+    for value in text:
+        if type(value) is not str:
+            raise TypeError(f"expected a str, got {value!r}")

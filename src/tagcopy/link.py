@@ -22,7 +22,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .corpus import TokenSeq, read_records
+from .corpus import TokenSeq, check_json_values, read_records
 from .errors import HttpError, InvalidParams, MalformedResponse
 
 log = logging.getLogger(__name__)
@@ -371,8 +371,18 @@ def write_annotations(path, annotated: list[tuple[int, list[EntityMention]]]) ->
             f.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
+def _mention(fields: dict) -> EntityMention:
+    m = EntityMention(**fields)
+    check_json_values(
+        spans=([m.start, m.end],),
+        tokens=(m.surface,) if m.hypernym is None else (m.surface, m.hypernym),
+        text=(m.uri,),
+    )
+    return m
+
+
 def read_annotations(path) -> dict[int, list[EntityMention]]:
     """Mentions by line_no; a repeated line_no keeps its last record."""
     return dict(read_records(path, lambda record: (
-        operator.index(record["line_no"]), [EntityMention(**m) for m in record["mentions"]]
+        operator.index(record["line_no"]), [_mention(m) for m in record["mentions"]]
     )))

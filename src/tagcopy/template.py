@@ -28,7 +28,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 
-from .corpus import ParallelCorpus, TokenSeq, read_records
+from .corpus import ParallelCorpus, TokenSeq, check_json_values, read_records
 from .errors import InvalidParams, LengthMismatch, MissingComponent
 from .lexicon import TranslationTable, translate_tokens, translate_tokens_strict
 from .link import EntityMention, project_entity_span
@@ -408,13 +408,25 @@ def write_tagged(
                 f.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
+def _bundle(fields: dict) -> BundleRecord:
+    b = BundleRecord(**fields)
+    check_json_values(
+        spans=(b.src_span, b.tgt_span),
+        tokens=(b.entity, b.translation, b.hypernym, b.hypernym_tgt),
+        text=(b.uri,),
+    )
+    return b
+
+
 def _manifest_entry(record) -> ManifestEntry:
     tv = record["tag_vocab"]
+    vocab = (tv["start"], tv["mid1"], tv["mid2"], tv["end"])
+    check_json_values(text=vocab)
     return ManifestEntry(
         operator.index(record["line_no"]),
         TemplateMethod(record["method"]),
-        TagVocabulary(tv["start"], tv["mid1"], tv["mid2"], tv["end"]),
-        [BundleRecord(**b) for b in record["bundles"]],
+        TagVocabulary(*vocab),
+        [_bundle(b) for b in record["bundles"]],
     )
 
 

@@ -4,18 +4,25 @@ import random
 import re
 from collections import defaultdict
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import digamma
 
 from conftest import make_corpus
 from tagcopy.align import (
     FORWARD,
     NULL_WORD,
+    PRUNE_RATIO,
     REVERSE,
     AlignmentVector,
     AlignModel,
     align_corpus,
     corpus_perplexity,
+    _digamma,
     load_model,
+    prune_model,
     read_pharaoh,
     save_model,
     symmetrize,
@@ -388,3 +395,78 @@ class TestBidirectionalDecoding:
             len(f & r) for f, r in zip(fwd_sets, rev_sets)
         ) / sum(len(p.src) for p in toy_corpus.pairs)
         assert agree > 0.98  # word-for-word corpus, intersection is near-total
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(1e-3, 1e7), min_size=1, max_size=20))
+def test_digamma_matches_scipy(xs):
+    x = np.array(xs)
+    assert np.abs(_digamma(x) - digamma(x)).max() <= 1e-11
+
+
+# ---------------------------------------------------------------------------
+# pruning
+
+# probabilities over many orders of magnitude, so rows straddle the cut
+probability = st.integers(0, 12).flatmap(
+    lambda k: st.floats(10.0 ** -k / 2, 10.0 ** -k) | st.just(10.0 ** -k)
+) | st.just(0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=st.dictionaries(
+    st.sampled_from([NULL_WORD, "a", "b", "c"]),
+    st.dictionaries(st.sampled_from(["x", "y", "z", "w"]), probability, min_size=1),
+    min_size=1,
+))
+def test_prune_keeps_row_maxima_and_the_null_row(theta):
+    model = AlignModel(theta, tension=4.0, p0=0.08, perplexity_history=[3.0])
+    pruned = prune_model(model)
+    assert (pruned.tension, pruned.p0, pruned.direction) == (4.0, 0.08, FORWARD)
+    assert pruned.perplexity_history == [3.0]
+    assert set(pruned.theta) == set(theta)
+    for e, row in theta.items():
+        kept = dict(pruned.theta[e])
+        if e == NULL_WORD:
+            assert kept == row
+            continue
+        best = max(row.values())
+        assert kept == {f: p for f, p in row.items() if p >= PRUNE_RATIO * best}
+        assert best in kept.values()
+
+
+class TestPruning:
+    @pytest.fixture(scope="class", params=[False, True], ids=["em", "vb"])
+    def models(self, request, toy_corpus):
+        return {
+            direction: train_alignment(toy_corpus, iterations=5, vb=request.param,
+                                       direction=direction)
+            for direction in (FORWARD, REVERSE)
+        }
+
+    def test_prunes_something(self, models):
+        for model in models.values():
+            pruned = prune_model(model)
+            assert 0 < len(pruned.theta.probs) < len(model.theta.probs)
+
+    def test_no_zero_probability_on_training_corpus(self, models, toy_corpus):
+        for model in models.values():
+            assert corpus_perplexity(prune_model(model), toy_corpus) == pytest.approx(
+                corpus_perplexity(model, toy_corpus), rel=1e-4)
+
+    def test_viterbi_links_unchanged(self, models, toy_corpus):
+        for model in models.values():
+            before = align_corpus(model, toy_corpus)
+            after = align_corpus(prune_model(model), toy_corpus)
+            assert [v.links for v in after] == [v.links for v in before]
+
+    def test_dump_reloads_to_the_pruned_model(self, models, tmp_path):
+        for name, model in models.items():
+            pruned = prune_model(model)
+            save_model(pruned, tmp_path / "m.tsv")
+            loaded = load_model(tmp_path / "m.tsv")
+            assert loaded.theta.cond == pruned.theta.cond
+            assert loaded.theta.emit == pruned.theta.emit
+            assert loaded.theta == pruned.theta
+            assert (loaded.tension, loaded.p0, loaded.direction) == (
+                pruned.tension, pruned.p0, pruned.direction)

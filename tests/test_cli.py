@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from tagcopy import cli
+from tagcopy import align, cli
 from tagcopy.config import load_config
 from tagcopy.errors import ConfigError
 from tagcopy.link import EntityMention, read_annotations, write_annotations
@@ -118,6 +118,14 @@ class TestAlignChain:
         assert rc == 0
         assert model_path.exists()
 
+    def test_align_train_writes_the_pruned_model(self, tmp_path, toy_dir, toy_corpus):
+        model_path = tmp_path / "m.tsv"
+        assert cli.main(["align-train", "--src", str(toy_dir / "src.en"),
+                         "--tgt", str(toy_dir / "tgt.zz"), "--model-out", str(model_path)]) == 0
+        trained = align.train_alignment(toy_corpus)
+        assert align.load_model(model_path).theta == align.prune_model(trained).theta
+        assert align.load_model(model_path).theta != trained.theta
+
     def test_symmetrize_row_count_mismatch(self, tmp_path):
         (tmp_path / "f").write_text("0-0\n", encoding="utf-8")
         (tmp_path / "r").write_text("0-0\n1-1\n", encoding="utf-8")
@@ -142,6 +150,12 @@ class TestMalformedFiles:
                      '"mid2": "<n>", "end": "<e>"}, "bundles": []}\n{"line_no": 1}\n', 2),
         "annotations": ('{"line_no": 0, "mentions": []}\n{"line_no": 1, "mentions": 7}\n', 2),
         "model": ("tension\t4.0\np0\t0.08\na\tb\t0.5\textra\n", 3),
+        # well-formed JSON, but a translation that is not a token list
+        "manifest_value": ('\n{"line_no": 0, "method": "hypa", "tag_vocab": {"start": "<s>", '
+                           '"mid1": "<m>", "mid2": "<n>", "end": "<e>"}, "bundles": [{'
+                           '"src_span": [0, 1], "tgt_span": [0, 1], "entity": ["a"], '
+                           '"translation": 5, "hypernym": ["h"], "hypernym_tgt": ["h"]}]}\n', 2),
+        "subset": ('{"line_no": 0}\n{"line_no": "1"}\n', 2),
     }
 
     @pytest.mark.parametrize("kind", BAD)
@@ -154,6 +168,10 @@ class TestMalformedFiles:
             "table": ["detag", "--in", str(toy_dir / "tgt.zz"), "--method", "tag",
                       "--table", str(bad), "--out", out],
             "manifest": ["eval-copy", "--outputs", str(toy_dir / "tgt.zz"), "--manifest", str(bad)],
+            "manifest_value": ["eval-copy", "--outputs", str(toy_dir / "tgt.zz"),
+                               "--manifest", str(bad)],
+            "subset": ["eval-bleu", "--hyp", str(toy_dir / "tgt.zz"), "--ref",
+                       str(toy_dir / "tgt.zz"), "--subset", "tag-only", "--manifest", str(bad)],
             "annotations": ["link-hypernyms", "--annotations", str(bad),
                             "--hypernyms", str(toy_dir / "hypernyms.tsv"), "--out", out],
             "model": ["align-apply", "--model", str(bad), "--src", str(toy_dir / "src.en"),
@@ -469,8 +487,14 @@ class TestStageParity:
         # stage, so every artifact must come out byte-identical
         root = Path(__file__).resolve().parent.parent
         cfg = yaml.safe_load((toy_dir / "config.yaml").read_text(encoding="utf-8"))
+        # the toy corpus plus a pair with an empty target side, inserted as
+        # line 3: read_parallel drops it, but its source still gets an
+        # annotation row from both paths
         for key in ("src", "tgt"):
-            cfg[key] = str(root / cfg[key])
+            lines = (root / cfg[key]).read_text(encoding="utf-8").splitlines(keepends=True)
+            lines.insert(3, lines[2] if key == "src" else "\n")
+            cfg[key] = str(tmp_path / Path(cfg[key]).name)
+            Path(cfg[key]).write_text("".join(lines), encoding="utf-8")
         for key in ("gazetteer", "hypernyms"):
             cfg["linker"][key] = str(root / cfg["linker"][key])
         cfg["workdir"] = str(tmp_path / "run")
@@ -527,6 +551,7 @@ class TestStageParity:
 
         manifest = json.loads((run / "stage_manifest.json").read_text(encoding="utf-8"))
         assert set(pairs) == set(manifest["artifacts"])
+        assert read_annotations(run / "link/annotations.jsonl")[3][0].surface == ["osaka"]
         for rel, chained in pairs.items():
             assert chained.read_bytes() == (run / rel).read_bytes(), rel
 
@@ -601,3 +626,20 @@ def test_cli_import_loads_neither_requests_nor_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_vb_align_train_loads_no_scipy(tmp_path, toy_dir):
+    # the variational-Bayes M-step computes digamma with numpy, so training
+    # does not pay for importing scipy
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys, tagcopy.cli\n"
+        "rc = tagcopy.cli.main(sys.argv[1:])\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    argv = ["align-train", "--src", str(toy_dir / "src.en"), "--tgt", str(toy_dir / "tgt.zz"),
+            "--vb", "--iterations", "2", "--model-out", str(tmp_path / "m.tsv")]
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.splitlines()[-1] == "0 []"

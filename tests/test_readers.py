@@ -2,6 +2,7 @@
 path:line, arbitrary bytes let no other exception out, and the JSON Lines
 readers return what their writers were given."""
 
+import json
 import re
 
 import pytest
@@ -93,12 +94,80 @@ MENTION = '"start": 0, "end": 1, "surface": ["a"], "uri": "u"'
     ("manifest", '{"line_no": 0, "method": "tag", "bundles": [{%s}]}\n' % BUNDLE, ":1: KeyError"),
     ("manifest", '\n{"line_no": 0, "method": "tag", "tag_vocab": {"start": "<s>", "mid1": "<s>", '
      '"mid2": "<n>", "end": "<e>"}, "bundles": []}\n', ":2: InvalidParams"),
+    ("manifest", '{"line_no": 0, "method": "tag", %s, "bundles": [{%s}]}\n'
+     % (VOCAB, BUNDLE.replace('"translation": ["b"]', '"translation": 5')), ":1: TypeError"),
+    ("manifest", '{"line_no": 0, "method": "tag", %s, "bundles": [{%s}]}\n'
+     % (VOCAB, BUNDLE.replace('"src_span": [0, 1]', '"src_span": [1, 1]')), ":1: ValueError"),
+    ("manifest", '{"line_no": 0, "method": "tag", %s, "bundles": [{%s, "uri": 7}]}\n'
+     % (VOCAB, BUNDLE), ":1: TypeError"),
+    ("annotations", '{"line_no": 0, "mentions": [{%s}]}\n'
+     % MENTION.replace('"start": 0', '"start": -1'), ":1: ValueError"),
+    ("annotations", '{"line_no": 0, "mentions": [{%s, "hypernym": "city"}]}\n' % MENTION,
+     ":1: TypeError"),
 ])
 def test_malformed_line_names_path_and_line(tmp_path, reader, text, where):
     path = tmp_path / "input"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(MalformedFile, match=re.escape(f"{path}{where}")):
         READERS[reader](path)
+
+
+# well-formed JSON, wrong value types: every field of a valid record, and
+# any JSON value that is not of the field's kind
+json_value = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=5,
+)
+
+
+def _is_span(v):
+    return (isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v)
+            and 0 <= v[0] < v[1])
+
+
+def _is_tokens(v):
+    return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+
+VALID_BUNDLE = {"src_span": [0, 1], "tgt_span": [2, 4], "entity": ["a"], "translation": ["b"],
+                "hypernym": ["h"], "hypernym_tgt": ["h"], "uri": "u"}
+VALID_MENTION = {"start": 0, "end": 1, "surface": ["a"], "uri": "u", "hypernym": ["h"]}
+# (reader, field) -> whether a value is of the field's kind; "vocab" is
+# the manifest's tag_vocab.start
+FIELD_KINDS = {
+    **{("manifest", k): _is_span for k in ("src_span", "tgt_span")},
+    **{("manifest", k): _is_tokens
+       for k in ("entity", "translation", "hypernym", "hypernym_tgt")},
+    ("manifest", "uri"): lambda v: isinstance(v, str),
+    ("manifest", "vocab"): lambda v: isinstance(v, str),
+    ("annotations", "start"): lambda v: type(v) is int and 0 <= v < VALID_MENTION["end"],
+    ("annotations", "end"): lambda v: type(v) is int and v > VALID_MENTION["start"],
+    ("annotations", "surface"): _is_tokens,
+    ("annotations", "hypernym"): lambda v: v is None or _is_tokens(v),
+    ("annotations", "uri"): lambda v: isinstance(v, str),
+}
+
+
+def _record_line(reader, **fields) -> str:
+    """One valid annotations or manifest record, with ``fields`` replaced."""
+    if reader == "annotations":
+        return json.dumps({"line_no": 1, "mentions": [{**VALID_MENTION, **fields}]}) + "\n"
+    vocab = {"start": fields.pop("vocab", "<s>"), "mid1": "<m>", "mid2": "<n>", "end": "<e>"}
+    return json.dumps({"line_no": 1, "method": "tag", "tag_vocab": vocab,
+                       "bundles": [{**VALID_BUNDLE, **fields}]}) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), field=st.sampled_from(sorted(FIELD_KINDS)))
+def test_wrong_value_type_is_malformed(scratch, data, field):
+    reader, name = field
+    value = data.draw(json_value.filter(lambda v: not FIELD_KINDS[field](v)))
+    scratch.write_text(_record_line(reader) + _record_line(reader, **{name: value}),
+                       encoding="utf-8")
+    with pytest.raises(MalformedFile, match=re.escape(f"{scratch}:2: ")):
+        READERS[reader](scratch)
 
 
 @pytest.mark.parametrize("reader", READERS.values(), ids=READERS.keys())
@@ -175,14 +244,18 @@ def test_manifest_round_trips_tagged_bundles(scratch, inputs):
     assert all(e.method is method and e.vocab == vocab for e in entries)
 
 
-mention = st.builds(
-    EntityMention, st.integers(), st.integers(), st.lists(st.text()), st.text(),
-    st.none() | st.lists(st.text()),
-)
+@st.composite
+def mention(draw):
+    """A mention of any text over a valid span: 0 <= start < end."""
+    start = draw(st.integers(min_value=0))
+    return EntityMention(
+        start, start + draw(st.integers(min_value=1)), draw(st.lists(st.text())),
+        draw(st.text()), draw(st.none() | st.lists(st.text())),
+    )
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.dictionaries(st.integers(), st.lists(mention, max_size=3), max_size=5))
+@given(st.dictionaries(st.integers(), st.lists(mention(), max_size=3), max_size=5))
 def test_annotations_round_trip(scratch, annotated):
     write_annotations(scratch, list(annotated.items()))
     assert read_annotations(scratch) == annotated
