@@ -139,8 +139,6 @@ def main():
             "src: tests/fixtures/toy/src.en\n"
             "tgt: tests/fixtures/toy/tgt.zz\n"
             "workdir: out/toy\n"
-            "src_lang: en\n"
-            "tgt_lang: zz\n"
             "seed: 13\n"
             "aligner:\n"
             "  iterations: 5\n"

@@ -20,6 +20,7 @@ from . import align, lexicon, link, metrics, template
 from .config import (
     AlignerParams,
     LinkerParams,
+    PipelineConfig,
     check_linker,
     load_config,
     parse_method,
@@ -33,7 +34,7 @@ from .corpus import (
     tokenize_normalize,
     write_parallel,
 )
-from .errors import ConfigError, CountMismatch, LengthMismatch, ToolkitError
+from .errors import ConfigError, CountMismatch, LengthMismatch, MalformedFile, ToolkitError
 
 log = logging.getLogger(__name__)
 
@@ -61,6 +62,20 @@ def write_token_lines(rows, path) -> None:
 
 # ---------------------------------------------------------------------------
 # stages, shared by their subcommands and pipeline-run
+
+
+def _check_untagged(corpus, vocab: template.TagVocabulary, src_path, tgt_path) -> None:
+    """Refuse a corpus whose kept lines already hold a token of ``vocab``:
+    detag could not tell it from a tag the method wrote."""
+    reserved = vocab.tokens()
+    for pair in corpus.pairs:
+        for path, tokens in ((src_path, pair.src), (tgt_path, pair.tgt)):
+            if not reserved.isdisjoint(tokens):
+                token = next(t for t in tokens if t in reserved)
+                raise MalformedFile(
+                    f"{path}:{pair.line_no + 1}: holds {token!r}, a token of the tag "
+                    "vocabulary; --vocab or tagging.vocab selects another vocabulary"
+                )
 
 
 def _train_and_save(corpus, params: AlignerParams, direction: str, path) -> align.AlignModel:
@@ -154,7 +169,8 @@ def cmd_split(args) -> int:
 def cmd_align_train(args) -> int:
     corpus = read_parallel(args.src, args.tgt, _profile(args))
     direction = align.FORWARD if args.direction == "fwd" else align.REVERSE
-    params = AlignerParams(args.iterations, args.tension, args.p0, args.vb, args.alpha)
+    params = AlignerParams(iterations=args.iterations, tension=args.tension,
+                           p0=args.p0, vb=args.vb, alpha=args.alpha)
     model = _train_and_save(corpus, params, direction, args.model_out)
     print(f"final perplexity: {align.corpus_perplexity(model, corpus):.4f}")
     return 0
@@ -184,8 +200,8 @@ def cmd_lexicon_build(args) -> int:
 
 
 def cmd_link_annotate(args) -> int:
-    endpoint = args.endpoint or os.environ.get("LINKER_ENDPOINT")
-    linker = LinkerParams(args.mode, args.gazetteer, None, endpoint, args.confidence)
+    linker = LinkerParams(mode=args.mode, gazetteer=args.gazetteer, confidence=args.confidence,
+                          endpoint=args.endpoint or os.environ.get("LINKER_ENDPOINT"))
     check_linker(linker)
     by_line = _annotate_and_write(args.src, _profile(args), linker, None, args.out)
     n = sum(1 for m in by_line.values() if m)
@@ -214,6 +230,7 @@ def cmd_tag_apply(args) -> int:
         raise ConfigError(f"missing required option --table (needed by method {method.value!r})")
     vocab = parse_vocab(args.vocab)
     corpus = read_parallel(args.src, args.tgt, _profile(args))
+    _check_untagged(corpus, vocab, args.src, args.tgt)
     by_line = link.read_annotations(args.annotations)
     annotations = [by_line.get(pair.line_no, []) for pair in corpus.pairs]
     alignments = align.read_pharaoh(args.alignments)
@@ -350,7 +367,8 @@ def cmd_pipeline_run(args) -> int:
     tag_stats: dict[str, dict] = {}
     stage = "corpus"
     try:
-        corpus = read_parallel(cfg.src, cfg.tgt, cfg.profile, cfg.src_lang, cfg.tgt_lang)
+        corpus = read_parallel(cfg.src, cfg.tgt, cfg.profile)
+        _check_untagged(corpus, cfg.vocab, cfg.src, cfg.tgt)
         log.info("[corpus] %d pairs (%d dropped)", len(corpus), corpus.dropped_count)
 
         stage = "align"
@@ -368,9 +386,8 @@ def cmd_pipeline_run(args) -> int:
         log.info("[lexicon] %d entries", len(table))
 
         stage = "link"
-        resolver = None
-        if cfg.linker.mode == "remote" and cfg.linker.hypernyms:
-            resolver = link.OfflineHypernyms.from_tsv(cfg.linker.hypernyms)
+        hypernyms = cfg.linker.hypernyms
+        resolver = link.OfflineHypernyms.from_tsv(hypernyms) if hypernyms else None
         by_line = _annotate_and_write(
             cfg.src, cfg.profile, cfg.linker, resolver, artifact("link/annotations.jsonl")
         )
@@ -437,11 +454,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tgt", required=True)
     p.add_argument("--model-out", required=True)
     p.add_argument("--direction", choices=("fwd", "rev"), default="fwd")
-    p.add_argument("--iterations", type=int, default=5)
-    p.add_argument("--tension", type=float, default=4.0)
-    p.add_argument("--p0", type=float, default=0.08)
+    p.add_argument("--iterations", type=int, default=AlignerParams.iterations)
+    p.add_argument("--tension", type=float, default=AlignerParams.tension)
+    p.add_argument("--p0", type=float, default=AlignerParams.p0)
     p.add_argument("--vb", action="store_true", help="variational-Bayes M-step")
-    p.add_argument("--alpha", type=float, default=0.01)
+    p.add_argument("--alpha", type=float, default=AlignerParams.alpha)
     _add_profile_flags(p)
     p.set_defaults(func=cmd_align_train)
 
@@ -456,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("symmetrize", help="merge forward and reverse alignments")
     p.add_argument("--fwd", required=True)
     p.add_argument("--rev", required=True)
-    p.add_argument("--heuristic", default="grow-diag-final-and", choices=align.HEURISTICS)
+    p.add_argument("--heuristic", default=AlignerParams.heuristic, choices=align.HEURISTICS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_symmetrize)
 
@@ -464,17 +481,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--src", required=True)
     p.add_argument("--tgt", required=True)
     p.add_argument("--alignments", required=True)
-    p.add_argument("--min-count", type=int, default=1)
+    p.add_argument("--min-count", type=int, default=PipelineConfig.min_count)
     p.add_argument("--out", required=True)
     _add_profile_flags(p)
     p.set_defaults(func=cmd_lexicon_build)
 
     p = sub.add_parser("link-annotate", help="find entity mentions per sentence")
     p.add_argument("--src", required=True)
-    p.add_argument("--mode", choices=("gazetteer", "remote"), default="gazetteer")
+    p.add_argument("--mode", choices=("gazetteer", "remote"), default=LinkerParams.mode)
     p.add_argument("--gazetteer")
     p.add_argument("--endpoint")
-    p.add_argument("--confidence", type=float, default=0.5)
+    p.add_argument("--confidence", type=float, default=LinkerParams.confidence)
     p.add_argument("--out", required=True)
     _add_profile_flags(p)
     p.set_defaults(func=cmd_link_annotate)
@@ -494,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alignments", required=True)
     p.add_argument("--table")
     p.add_argument("--method", required=True)
-    p.add_argument("--vocab", default="special")
+    p.add_argument("--vocab", help="special (the default) or plain")
     p.add_argument("--out-src", required=True)
     p.add_argument("--out-tgt", required=True)
     p.add_argument("--manifest", required=True)
@@ -509,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="translation table, read by methods "
         + ", ".join(m.value for m, spec in template.METHODS.items() if spec.reads_table),
     )
-    p.add_argument("--vocab", default="special")
+    p.add_argument("--vocab", help="special (the default) or plain")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_detag)
 

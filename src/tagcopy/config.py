@@ -4,23 +4,16 @@ One YAML file with a documented key set; the only environment override is
 LINKER_ENDPOINT, because endpoints differ per machine while everything else
 should be committed alongside the experiment.
 
-Top-level keys::
-
-    src, tgt            input parallel files (required)
-    workdir             output directory (required)
-    src_lang, tgt_lang  language codes (default "src"/"tgt")
-    seed                integer seed recorded in artifacts (default 0)
-    lowercase           bool, default true
-    strip_accents       bool, default true
-    aligner:            iterations, tension, p0, vb, alpha, heuristic
-    linker:             mode (gazetteer|remote), gazetteer, hypernyms,
-                        endpoint, confidence
-    tagging:            methods (list), vocab (special|plain|{start,mid1,
-                        mid2,end}), min_count
+The dataclasses are the schema: each setting's key, type and default is a
+field of ``AlignerParams`` (section ``aligner``), ``LinkerParams``
+(``linker``), ``corpus.NormProfile`` (top-level ``lowercase`` and
+``strip_accents``) or ``PipelineConfig`` (the other top-level keys and
+section ``tagging``). ``TOP_KEYS`` and ``SECTION_KEYS`` list every key
+accepted, and the CLI takes its defaults from the same fields.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import yaml
 
@@ -54,8 +47,6 @@ class PipelineConfig:
     src: str
     tgt: str
     workdir: str
-    src_lang: str = "src"
-    tgt_lang: str = "tgt"
     seed: int = 0
     profile: NormProfile = NormProfile()
     aligner: AlignerParams = field(default_factory=AlignerParams)
@@ -65,32 +56,59 @@ class PipelineConfig:
     min_count: int = 1
 
 
-_TOP_KEYS = {
-    "src", "tgt", "workdir", "src_lang", "tgt_lang", "seed",
-    "lowercase", "strip_accents", "aligner", "linker", "tagging",
+SECTION_KEYS = {
+    "aligner": tuple(f.name for f in fields(AlignerParams)),
+    "linker": tuple(f.name for f in fields(LinkerParams)),
+    "tagging": ("methods", "vocab", "min_count"),
 }
+_REQUIRED = ("src", "tgt", "workdir")
+TOP_KEYS = (*_REQUIRED, "seed", *(f.name for f in fields(NormProfile)), *SECTION_KEYS)
 
 
-def _section(data: dict, name: str, allowed: set[str]) -> dict:
+def _section(data: dict, name: str) -> dict:
     section = data.get(name) or {}
     if not isinstance(section, dict):
         raise ConfigError(f"{name}: expected a mapping")
     for key in section:
-        if key not in allowed:
+        if key not in SECTION_KEYS[name]:
             raise ConfigError(f"unknown key: {name}.{key}")
     return section
 
 
+def _get(section: dict, key: str, default):
+    """The value at the last part of the dotted ``key``, converted to the
+    type of ``default`` (str where that is None), or ``default`` if absent.
+    A bool must be a YAML boolean already, since ``bool("false")`` is true."""
+    value = section.get(key.rpartition(".")[2], default)
+    if value is default:  # absent, or null where null is the default
+        return value
+    kind = str if default is None else type(default)
+    try:
+        if kind is not bool or type(value) is bool:
+            return kind(value)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
+
+
+def _params(cls, section: dict, prefix: str = ""):
+    """``cls`` with each field read from ``section`` by :func:`_get`."""
+    return cls(**{f.name: _get(section, prefix + f.name, f.default) for f in fields(cls)})
+
+
 def parse_vocab(spec) -> TagVocabulary:
-    if spec in (None, "special"):
+    if spec is None:
+        return PipelineConfig.vocab
+    if spec == "special":
         return SPECIAL_VOCAB
     if spec == "plain":
         return PLAIN_VOCAB
     if isinstance(spec, dict):
-        missing = {"start", "mid1", "mid2", "end"} - set(spec)
+        keys = [f.name for f in fields(TagVocabulary)]
+        missing = set(keys) - set(spec)
         if missing:
             raise ConfigError(f"tagging.vocab: missing key(s) {sorted(missing)}")
-        return TagVocabulary(spec["start"], spec["mid1"], spec["mid2"], spec["end"])
+        return TagVocabulary(*(_get(spec, f"tagging.vocab.{k}", "") for k in keys))
     raise ConfigError(f"tagging.vocab: expected 'special', 'plain', or a mapping, got {spec!r}")
 
 
@@ -125,59 +143,33 @@ def load_config(path) -> PipelineConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a YAML mapping at the top level")
     for key in data:
-        if key not in _TOP_KEYS:
+        if key not in TOP_KEYS:
             raise ConfigError(f"unknown key: {key}")
-    for key in ("src", "tgt", "workdir"):
+    for key in _REQUIRED:
         if not data.get(key):
             raise ConfigError(f"missing required key: {key}")
 
-    aligner_keys = {"iterations", "tension", "p0", "vb", "alpha", "heuristic"}
-    linker_keys = {"mode", "gazetteer", "hypernyms", "endpoint", "confidence"}
-    tagging_keys = {"methods", "vocab", "min_count"}
-
-    a = _section(data, "aligner", aligner_keys)
-    aligner = AlignerParams(
-        iterations=int(a.get("iterations", 5)),
-        tension=float(a.get("tension", 4.0)),
-        p0=float(a.get("p0", 0.08)),
-        vb=bool(a.get("vb", False)),
-        alpha=float(a.get("alpha", 0.01)),
-        heuristic=str(a.get("heuristic", "grow-diag-final-and")),
-    )
+    aligner = _params(AlignerParams, _section(data, "aligner"), "aligner.")
     if aligner.heuristic not in HEURISTICS:
         raise ConfigError(f"aligner.heuristic: unknown heuristic {aligner.heuristic!r}")
-
-    lk = _section(data, "linker", linker_keys)
-    linker = LinkerParams(
-        mode=str(lk.get("mode", "gazetteer")),
-        gazetteer=lk.get("gazetteer"),
-        hypernyms=lk.get("hypernyms"),
-        endpoint=os.environ.get("LINKER_ENDPOINT") or lk.get("endpoint"),
-        confidence=float(lk.get("confidence", 0.5)),
-    )
+    linker = _params(LinkerParams, _section(data, "linker"), "linker.")
+    linker.endpoint = os.environ.get("LINKER_ENDPOINT") or linker.endpoint
     check_linker(linker)
 
-    tg = _section(data, "tagging", tagging_keys)
-    methods = [parse_method(m) for m in tg.get("methods", [m.value for m in TAGGED_METHODS])]
-    vocab = parse_vocab(tg.get("vocab"))
-
+    tg = _section(data, "tagging")
     cfg = PipelineConfig(
-        src=str(data["src"]),
-        tgt=str(data["tgt"]),
-        workdir=str(data["workdir"]),
-        src_lang=str(data.get("src_lang", "src")),
-        tgt_lang=str(data.get("tgt_lang", "tgt")),
-        seed=int(data.get("seed", 0)),
-        profile=NormProfile(
-            lowercase=bool(data.get("lowercase", True)),
-            strip_accents=bool(data.get("strip_accents", True)),
-        ),
+        *(str(data[key]) for key in _REQUIRED),
+        seed=_get(data, "seed", PipelineConfig.seed),
+        profile=_params(NormProfile, data),
         aligner=aligner,
         linker=linker,
-        methods=methods,
-        vocab=vocab,
-        min_count=int(tg.get("min_count", 1)),
+        vocab=parse_vocab(tg.get("vocab")),
+        min_count=_get(tg, "tagging.min_count", PipelineConfig.min_count),
     )
+    if "methods" in tg:
+        if not isinstance(tg["methods"], list):
+            raise ConfigError(f"tagging.methods: expected a list, got {tg['methods']!r}")
+        cfg.methods = [parse_method(m) for m in tg["methods"]]
 
     for key, value in (("src", cfg.src), ("tgt", cfg.tgt)):
         if not os.path.exists(value):

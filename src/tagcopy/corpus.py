@@ -56,8 +56,6 @@ class SentencePair:
 @dataclass
 class ParallelCorpus:
     pairs: list[SentencePair]
-    src_lang: str = "src"
-    tgt_lang: str = "tgt"
     dropped_count: int = 0
 
     def __len__(self) -> int:
@@ -67,13 +65,7 @@ class ParallelCorpus:
         return iter(self.pairs)
 
 
-def read_parallel(
-    src_path,
-    tgt_path,
-    profile: NormProfile = NormProfile(),
-    src_lang: str = "src",
-    tgt_lang: str = "tgt",
-) -> ParallelCorpus:
+def read_parallel(src_path, tgt_path, profile: NormProfile = NormProfile()) -> ParallelCorpus:
     """Read a line-parallel file pair into a corpus.
 
     Line i of each file becomes pair i. Pairs where either side normalizes
@@ -97,7 +89,7 @@ def read_parallel(
             dropped += 1
             continue
         pairs.append(SentencePair(src, tgt, i))
-    return ParallelCorpus(pairs, src_lang, tgt_lang, dropped)
+    return ParallelCorpus(pairs, dropped)
 
 
 def write_parallel(corpus: ParallelCorpus, src_path, tgt_path) -> None:
@@ -112,23 +104,18 @@ def split_holdout(corpus: ParallelCorpus, n_valid: int, n_test: int, seed: int):
     """Randomly hold out validation and test pairs.
 
     Pair indices are shuffled with Python's Mersenne Twister seeded with
-    ``seed``; the first ``n_valid`` become the validation split and the
-    next ``n_test`` the test split. The same seed always yields the same
-    partition, and each split keeps the original file order.
+    ``seed``; the first ``n_valid`` become the validation split, the next
+    ``n_test`` the test split and the rest the training split, returned as
+    (train, valid, test). The same seed always yields the same partition,
+    and each split keeps the original file order.
     """
     n = len(corpus.pairs)
     if n_valid < 0 or n_test < 0 or n_valid + n_test > n:
         raise InsufficientData(f"cannot hold out {n_valid}+{n_test} pairs from a corpus of {n}")
     indices = list(range(n))
     random.Random(seed).shuffle(indices)
-    valid_ix = sorted(indices[:n_valid])
-    test_ix = sorted(indices[n_valid:n_valid + n_test])
-    train_ix = sorted(indices[n_valid + n_test:])
-
-    def take(ix):
-        return ParallelCorpus([corpus.pairs[i] for i in ix], corpus.src_lang, corpus.tgt_lang)
-
-    return take(train_ix), take(valid_ix), take(test_ix)
+    parts = (indices[n_valid + n_test:], indices[:n_valid], indices[n_valid:n_valid + n_test])
+    return tuple(ParallelCorpus([corpus.pairs[i] for i in sorted(ix)]) for ix in parts)
 
 
 def read_records(path, parse, tsv: int = 0) -> list:

@@ -17,7 +17,6 @@ class TableEntry:
 @dataclass
 class TranslationTable:
     entries: dict[str, TableEntry]
-    direction: str = "src-tgt"
 
     def __contains__(self, word: str) -> bool:
         return word in self.entries
@@ -107,9 +106,9 @@ def save_table(table: TranslationTable, path) -> None:
             f.write(f"{src_word}\t{e.target}\t{e.count}\t{e.prob:.6f}\n")
 
 
-def load_table(path, direction: str = "src-tgt") -> TranslationTable:
+def load_table(path) -> TranslationTable:
     """Read a save_table dump; a repeated source word keeps its last row."""
     rows = read_records(path, lambda src, tgt, count, prob: (
         src, TableEntry(tgt, int(count), float(prob))
     ), tsv=4)
-    return TranslationTable(dict(rows), direction)
+    return TranslationTable(dict(rows))

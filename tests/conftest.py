@@ -26,7 +26,7 @@ def toy_dir() -> Path:
 
 @pytest.fixture(scope="session")
 def toy_corpus(toy_dir):
-    return read_parallel(toy_dir / "src.en", toy_dir / "tgt.zz", src_lang="en", tgt_lang="zz")
+    return read_parallel(toy_dir / "src.en", toy_dir / "tgt.zz")
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -7,8 +8,15 @@ from pathlib import Path
 import pytest
 import yaml
 
-from tagcopy import align, cli
-from tagcopy.config import load_config
+from tagcopy import align, cli, lexicon, link, template
+from tagcopy.config import (
+    SECTION_KEYS,
+    TOP_KEYS,
+    AlignerParams,
+    LinkerParams,
+    PipelineConfig,
+    load_config,
+)
 from tagcopy.errors import ConfigError
 from tagcopy.link import EntityMention, read_annotations, write_annotations
 from tagcopy.template import read_manifest
@@ -19,8 +27,6 @@ def write_config(path, toy_dir, workdir, **overrides):
         "src": str(toy_dir / "src.en"),
         "tgt": str(toy_dir / "tgt.zz"),
         "workdir": str(workdir),
-        "src_lang": "en",
-        "tgt_lang": "zz",
         "seed": 13,
         "aligner": {"iterations": 5, "tension": 4.0, "p0": 0.08},
         "linker": {
@@ -302,6 +308,30 @@ class TestTagApply:
         assert "tagged 50/200 pairs (fraction 0.2500)" in capsys.readouterr().out
 
 
+    def test_refuses_a_reserved_tag_token(self, tmp_path, toy_dir, prepared, capsys):
+        src, tgt, ann = tmp_path / "in.en", tmp_path / "in.zz", tmp_path / "in.jsonl"
+        lines = ["the river crossed .", "see <special2> myanmar <special5> ."]
+        src.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        tgt.write_text("".join(line[::-1] + "\n" for line in lines), encoding="utf-8")
+        align_file = tmp_path / "in.align"
+        align_file.write_text("0-3 1-2 2-1 3-0\n0-4 1-3 2-2 3-1 4-0\n", encoding="utf-8")
+        assert cli.main([
+            "link-annotate", "--src", str(src), "--gazetteer", str(toy_dir / "gazetteer.tsv"),
+            "--out", str(ann),
+        ]) == 0
+        argv = [
+            "tag-apply", "--src", str(src), "--tgt", str(tgt), "--annotations", str(ann),
+            "--alignments", str(align_file), "--table", str(prepared["table"]),
+            "--method", "tag", "--out-src", str(tmp_path / "o.src"),
+            "--out-tgt", str(tmp_path / "o.tgt"), "--manifest", str(tmp_path / "o.jsonl"),
+        ]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{src}:2: holds '<special2>'" in err
+        assert "--vocab or tagging.vocab" in err
+        assert cli.main([*argv, "--vocab", "plain"]) == 0
+
+
 class TestEvalCommands:
     def test_bleu_identity(self, toy_dir, capsys):
         rc = cli.main([
@@ -481,6 +511,18 @@ class TestPipelineRun:
         assert "[link]" in capsys.readouterr().err
 
 
+    def test_reserved_tag_token_stops_the_run_before_training(self, tmp_path, toy_dir, capsys):
+        lines = (toy_dir / "tgt.zz").read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[4] = "<special4> " + lines[4]
+        tgt = tmp_path / "tgt.zz"
+        tgt.write_text("".join(lines), encoding="utf-8")
+        workdir = tmp_path / "run"
+        config = write_config(tmp_path / "config.yaml", toy_dir, workdir, tgt=str(tgt))
+        assert cli.main(["pipeline-run", "--config", str(config)]) == 2
+        assert f"[corpus] {tgt}:5: holds '<special4>'" in capsys.readouterr().err
+        assert not any((workdir / "align").iterdir())
+
+
 class TestStageParity:
     def test_subcommands_match_pipeline_run(self, tmp_path, toy_dir):
         # the subcommand chain and pipeline-run share one implementation per
@@ -495,8 +537,15 @@ class TestStageParity:
             lines.insert(3, lines[2] if key == "src" else "\n")
             cfg[key] = str(tmp_path / Path(cfg[key]).name)
             Path(cfg[key]).write_text("".join(lines), encoding="utf-8")
-        for key in ("gazetteer", "hypernyms"):
-            cfg["linker"][key] = str(root / cfg["linker"][key])
+        # the gazetteer's myanmar row without its label: both paths take it
+        # from linker.hypernyms, which pipeline-run reads in either mode
+        rows = (root / cfg["linker"]["gazetteer"]).read_text(encoding="utf-8").splitlines()
+        surface, uri, _ = rows[0].split("\t")
+        assert surface == "myanmar"
+        rows[0] = f"{surface}\t{uri}\t"
+        cfg["linker"]["gazetteer"] = str(tmp_path / "gazetteer.tsv")
+        Path(cfg["linker"]["gazetteer"]).write_text("\n".join(rows) + "\n", encoding="utf-8")
+        cfg["linker"]["hypernyms"] = str(root / cfg["linker"]["hypernyms"])
         cfg["workdir"] = str(tmp_path / "run")
         config = tmp_path / "config.yaml"
         config.write_text(yaml.safe_dump(cfg), encoding="utf-8")
@@ -551,7 +600,10 @@ class TestStageParity:
 
         manifest = json.loads((run / "stage_manifest.json").read_text(encoding="utf-8"))
         assert set(pairs) == set(manifest["artifacts"])
-        assert read_annotations(run / "link/annotations.jsonl")[3][0].surface == ["osaka"]
+        annotations = read_annotations(run / "link/annotations.jsonl")
+        assert annotations[3][0].surface == ["osaka"]
+        myanmar = [m for ms in annotations.values() for m in ms if m.surface == ["myanmar"]]
+        assert myanmar and all(m.hypernym == ["state"] for m in myanmar)
         for rel, chained in pairs.items():
             assert chained.read_bytes() == (run / rel).read_bytes(), rel
 
@@ -609,12 +661,59 @@ class TestConfig:
         )
         assert load_config(config).vocab.start == "<s>"
 
+    def test_vocab_mapping_tokens_read_as_strings(self, tmp_path, toy_dir):
+        # YAML reads `start: 1` as an int; a token is written and scanned as a str
+        config = write_config(
+            tmp_path / "c.yaml", toy_dir, tmp_path / "w",
+            tagging={"vocab": {"start": 1, "mid1": 2, "mid2": 3, "end": 4}},
+        )
+        assert load_config(config).vocab.tokens() == {"1", "2", "3", "4"}
+
     def test_defaults(self, tmp_path, toy_dir):
         config = write_config(tmp_path / "c.yaml", toy_dir, tmp_path / "w")
         cfg = load_config(config)
         assert cfg.aligner.iterations == 5
         assert cfg.aligner.p0 == 0.08
         assert cfg.linker.confidence == 0.5
+
+    @pytest.mark.parametrize("section, name, value", [
+        ("aligner", "iterations", "five"),
+        (None, "seed", "abc"),
+        ("linker", "confidence", "high"),
+        ("aligner", "vb", "false"),
+    ])
+    def test_value_of_the_wrong_type_exits_2(self, tmp_path, toy_dir, capsys,
+                                             section, name, value):
+        config = write_config(tmp_path / "c.yaml", toy_dir, tmp_path / "w")
+        cfg = yaml.safe_load(config.read_text(encoding="utf-8"))
+        (cfg[section] if section else cfg)[name] = value
+        config.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        assert cli.main(["pipeline-run", "--config", str(config)]) == 2
+        key = f"{section}.{name}" if section else name
+        assert f"error: {key}: expected" in capsys.readouterr().err
+
+    def test_library_defaults_match_the_schema(self):
+        def defaults(fn):
+            return {k: p.default for k, p in inspect.signature(fn).parameters.items()}
+
+        train = defaults(align.train_alignment)
+        for name in ("iterations", "tension", "p0", "vb", "alpha"):
+            assert train[name] == getattr(AlignerParams, name), name
+        for fn in (align.symmetrize, align.symmetrize_links):
+            assert defaults(fn)["heuristic"] == AlignerParams.heuristic
+        assert defaults(link.SpotlightClient)["confidence"] == LinkerParams.confidence
+        assert defaults(lexicon.build_translation_table)["min_count"] == PipelineConfig.min_count
+        for fn in (template.render_source_template, template.render_target_template,
+                   template.detag):
+            assert defaults(fn)["vocab"] == PipelineConfig.vocab
+
+    def test_readme_configuration_block_lists_every_key(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Configuration")[1].split("```yaml\n")[1].split("```")[0]
+        documented = yaml.safe_load(block)
+        assert set(documented) == set(TOP_KEYS)
+        for name, keys in SECTION_KEYS.items():
+            assert set(documented[name]) == set(keys), name
 
 
 def test_cli_import_loads_neither_requests_nor_numpy():
@@ -643,3 +742,15 @@ def test_vb_align_train_loads_no_scipy(tmp_path, toy_dir):
     out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.splitlines()[-1] == "0 []"
+
+
+def test_fixture_generator_reproduces_the_toy_fixture(tmp_path, toy_dir):
+    # the committed fixture is what the generator writes, byte for byte
+    root = Path(__file__).resolve().parent.parent
+    subprocess.run([sys.executable, str(root / "scripts" / "make_toy_fixture.py"), str(tmp_path)],
+                   capture_output=True, check=True, timeout=60)
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == sorted(path.name for path in toy_dir.iterdir())
+    assert len(written) == 7
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (toy_dir / name).read_bytes(), name

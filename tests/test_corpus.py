@@ -83,7 +83,7 @@ class TestReadParallel:
 
     def test_write_read_round_trip(self, tmp_path, toy_corpus):
         write_parallel(toy_corpus, tmp_path / "s", tmp_path / "t")
-        again = read_parallel(tmp_path / "s", tmp_path / "t", src_lang="en", tgt_lang="zz")
+        again = read_parallel(tmp_path / "s", tmp_path / "t")
         assert again.pairs == toy_corpus.pairs
         assert again.dropped_count == 0
 
