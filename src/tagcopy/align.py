@@ -543,40 +543,39 @@ def write_pharaoh(link_sets, path) -> None:
             f.write(" ".join(f"{i}-{j}" for i, j in sorted(links)) + "\n")
 
 
-def _is_link(part: str) -> bool:
-    """Whether read_pharaoh accepts a token: two digit runs joined by ``-``."""
-    i, _, j = part.partition("-")
-    try:
-        int(i), int(j)
-    except ValueError:
-        return False
-    return i.isdigit() and j.isdigit()
-
-
 def read_pharaoh(path) -> list[set[tuple[int, int]]]:
     """One set of (i, j) links per line of ``i-j`` tokens, each index bare
     digits; a malformed file raises MalformedFile naming path:line."""
     sets = []
+    # token -> (i, j): a file repeats a few hundred distinct links, so each
+    # is checked and converted once and the lines are mapped at C speed
+    known: dict[str, tuple[int, int]] = {}
     with open(path, encoding="utf-8") as f:
-        # one handler around the whole read keeps the per-token loop bare
         try:
             for line in f:
-                links = set()
-                for part in line.split():
-                    i, _, j = part.partition("-")
-                    links.add((int(i), int(j)))
-                # int() also reads a sign and underscores; one check of the
-                # whole line keeps them out of the per-token loop
-                if "--" in line or "+" in line or "_" in line:
-                    raise ValueError
+                parts = line.split()
+                try:
+                    links = set(map(known.__getitem__, parts))
+                except KeyError:
+                    for part in parts:
+                        if part in known:
+                            continue
+                        # isdecimal() is what int() reads, less a sign,
+                        # underscores and surrounding spaces; int() still
+                        # refuses more digits than sys.get_int_max_str_digits()
+                        i, _, j = part.partition("-")
+                        try:
+                            if not (i.isdecimal() and j.isdecimal()):
+                                raise ValueError
+                            known[part] = (int(i), int(j))
+                        except ValueError:
+                            raise MalformedFile(
+                                f"{path}:{len(sets) + 1}: bad link {part!r}, expected i-j"
+                            ) from None
+                    links = set(map(known.__getitem__, parts))
                 sets.append(links)
         except UnicodeDecodeError as exc:
             raise MalformedFile(f"{path}: not UTF-8 text ({exc.reason})") from None
-        except ValueError:
-            part = next(p for p in line.split() if not _is_link(p))
-            raise MalformedFile(
-                f"{path}:{len(sets) + 1}: bad link {part!r}, expected i-j"
-            ) from None
     return sets
 
 

@@ -78,15 +78,19 @@ def _section(data: dict, name: str) -> dict:
 def _get(section: dict, key: str, default):
     """The value at the last part of the dotted ``key``, converted to the
     type of ``default`` (str where that is None), or ``default`` if absent.
-    A bool must be a YAML boolean already, since ``bool("false")`` is true."""
+    Only a lossless conversion is made: a bool field takes only a YAML
+    boolean (``bool("false")`` is true), a number field no boolean
+    (``int(True)`` is 1), and an int field no fraction (``int(1.9)`` is 1)."""
     value = section.get(key.rpartition(".")[2], default)
     if value is default:  # absent, or null where null is the default
         return value
     kind = str if default is None else type(default)
+    lossless = (kind is str or (kind is bool) == (type(value) is bool)) and not (
+        kind is int and isinstance(value, float) and not value.is_integer())
     try:
-        if kind is not bool or type(value) is bool:
+        if lossless:
             return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
 

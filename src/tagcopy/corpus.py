@@ -27,9 +27,16 @@ class NormProfile:
 
 def _strip_accents(text: str) -> str:
     # canonical decomposition, then drop combining marks; this exact recipe
-    # keeps the transform bit-reproducible across runs and machines
+    # keeps the transform bit-reproducible across runs and machines. NFD
+    # leaves ASCII alone and ASCII holds no mark, so most lines skip both
+    # steps, and each distinct character is looked up once per line.
+    if text.isascii():
+        return text
     decomposed = unicodedata.normalize("NFD", text)
-    return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    for ch in set(decomposed):
+        if unicodedata.combining(ch):
+            decomposed = decomposed.replace(ch, "")
+    return decomposed
 
 
 def tokenize_normalize(raw_line: str, profile: NormProfile = NormProfile()) -> TokenSeq:

@@ -262,10 +262,18 @@ class SpotlightClient:
 
 
 def annotate_corpus(client, sentences: list[TokenSeq], max_in_flight: int = 4):
-    """Annotate many sentences with bounded request concurrency; results come
-    back in input order."""
+    """Annotate many sentences with bounded request concurrency; each
+    distinct non-empty text goes to ``client.annotate`` once, in first-seen
+    order, and every input gets its own list of the result, in input order.
+    A duplicate thus never holds a worker waiting on the in-flight first."""
+    texts = [" ".join(s) for s in sentences]
+    first: dict[str, TokenSeq] = {}
+    for text, sentence in zip(texts, sentences):
+        if text:
+            first.setdefault(text, sentence)
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-        return list(pool.map(client.annotate, sentences))
+        found = dict(zip(first, pool.map(client.annotate, first.values())))
+    return [list(found.get(text, ())) for text in texts]
 
 
 # ---------------------------------------------------------------------------

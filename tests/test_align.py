@@ -304,6 +304,17 @@ class TestSymmetrize:
             union = symmetrize_links(fwd, rev, "union")
             assert inter <= gdfa <= union
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_subset_chain_property(self, data):
+        n, m = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+        link_sets = st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)))
+        fwd, rev = data.draw(link_sets), data.draw(link_sets)
+        inter = symmetrize_links(fwd, rev, "intersection")
+        gdfa = symmetrize_links(fwd, rev, "grow-diag-final-and")
+        union = symmetrize_links(fwd, rev, "union")
+        assert inter <= gdfa <= union
+
 
 class TestPerplexity:
     def test_deterministic_model_scores_one(self):
@@ -347,7 +358,10 @@ class TestPersistence:
         write_pharaoh([{(2, 1), (0, 0), (1, 5)}], tmp_path / "a.align")
         assert (tmp_path / "a.align").read_text(encoding="utf-8") == "0-0 1-5 2-1\n"
 
-    @pytest.mark.parametrize("bad", ["0-x", "1-2-3", "5", "1--2", "+1-2", "1-+2", "1_0-2"])
+    @pytest.mark.parametrize("bad", [
+        "0-x", "1-2-3", "5", "1--2", "+1-2", "1-+2", "1_0-2", "1-\u00b2",
+        pytest.param("1-" + "9" * 5000, id="more-digits-than-int-reads"),
+    ])
     def test_pharaoh_malformed_link_names_path_and_line(self, tmp_path, bad):
         path = tmp_path / "a.align"
         path.write_text(f"0-0\n1-1 {bad} 2-2\n", encoding="utf-8")

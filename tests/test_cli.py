@@ -681,6 +681,10 @@ class TestConfig:
         (None, "seed", "abc"),
         ("linker", "confidence", "high"),
         ("aligner", "vb", "false"),
+        ("aligner", "iterations", 1.9),
+        (None, "seed", True),
+        ("tagging", "min_count", 2.5),
+        ("aligner", "p0", True),
     ])
     def test_value_of_the_wrong_type_exits_2(self, tmp_path, toy_dir, capsys,
                                              section, name, value):

@@ -249,6 +249,29 @@ class TestClient:
         results = annotate_corpus(client, sentences, max_in_flight=4)
         assert [m[0].uri for m in results] == [f"kb:w{i}" for i in range(20)]
 
+    def test_corpus_annotation_sends_each_distinct_text_once(self):
+        def transport(url, params):
+            text = params["text"]
+            return _ok({"@text": text, "Resources": [
+                {"@URI": f"kb:{text.split()[0]}", "@surfaceForm": text.split()[0], "@offset": "0"}
+            ]})
+
+        client = SpotlightClient("http://annotator/annotate", transport=transport)
+        calls = []
+        annotate = client.annotate
+
+        def counted(sentence):
+            calls.append(sentence)
+            return annotate(sentence)
+
+        client.annotate = counted
+        a, b, c = ["a", "x"], ["b", "x"], ["c", "x"]
+        results = annotate_corpus(client, [a, a, b, c, c, a, []], max_in_flight=2)
+        assert sorted(calls) == [a, b, c]
+        assert [[m.uri for m in r] for r in results] == [
+            ["kb:a"], ["kb:a"], ["kb:b"], ["kb:c"], ["kb:c"], ["kb:a"], []]
+        assert len({id(r) for r in results}) == 7
+
     def _race(self, transport, threads=2):
         """Start ``threads`` callers on one sentence together; returns the
         result or exception of each."""

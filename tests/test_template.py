@@ -2,6 +2,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_corpus
 from tagcopy.errors import InvalidParams, LengthMismatch, MissingComponent
@@ -301,41 +303,59 @@ def _random_case(rng, pool):
     return sentence, start, end, b
 
 
+def _round_trip_holds(sentence, start, end, b, vocab=PLAIN_VOCAB) -> bool:
+    """Whether detag inverts render of one case for every method."""
+    table = identity_table(b.entity)
+    substituted = sentence[:start] + b.translation + sentence[end:]
+    for method in TAGGED_METHODS + (M.BASELINE,):
+        rendered = render_source_template(method, b, sentence, vocab)
+        out, incidents = detag(rendered, method, table, vocab)
+        if method in (M.TAG, M.ADD, M.BASELINE):
+            ok = out == sentence
+        elif method in (M.TRANS, M.TRANSA, M.TRANSR):
+            ok = out == substituted
+        else:  # hypa: no delimiters, detag is the identity
+            ok = out == rendered
+        ok = ok and incidents == 0
+        # with the entity as its own translation, trans/transa restore
+        # the original sentence exactly
+        if method in (M.TRANS, M.TRANSA):
+            b_id = replace(b, translation=list(b.entity))
+            rendered_id = render_source_template(method, b_id, sentence, vocab)
+            out_id, _ = detag(rendered_id, method, table, vocab)
+            ok = ok and out_id == sentence
+        if not ok:
+            return False
+    return True
+
+
 def run_round_trips(n_cases: int, seed: int = 202408) -> int:
     """Template round-trip property over randomized sentences; returns the
-    number of failures (expected 0)."""
+    number of failing cases (expected 0)."""
     rng = random.Random(seed)
     pool = [f"w{i}" for i in range(20)]
-    failures = 0
-    for _ in range(n_cases):
-        sentence, start, end, b = _random_case(rng, pool)
-        table = identity_table(b.entity)
-        substituted = sentence[:start] + b.translation + sentence[end:]
-        for method in TAGGED_METHODS + (M.BASELINE,):
-            rendered = render_source_template(method, b, sentence, PLAIN_VOCAB)
-            out, incidents = detag(rendered, method, table, PLAIN_VOCAB)
-            if method in (M.TAG, M.ADD, M.BASELINE):
-                ok = out == sentence
-            elif method in (M.TRANS, M.TRANSA, M.TRANSR):
-                ok = out == substituted
-            else:  # hypa: no delimiters, detag is the identity
-                ok = out == rendered
-            ok = ok and incidents == 0
-            # with the entity as its own translation, trans/transa restore
-            # the original sentence exactly
-            if method in (M.TRANS, M.TRANSA):
-                b_id = replace(b, translation=list(b.entity))
-                rendered_id = render_source_template(method, b_id, sentence, PLAIN_VOCAB)
-                out_id, _ = detag(rendered_id, method, table, PLAIN_VOCAB)
-                ok = ok and out_id == sentence
-            if not ok:
-                failures += 1
-    return failures
+    return sum(not _round_trip_holds(*_random_case(rng, pool)) for _ in range(n_cases))
+
+
+def _words(prefix, min_size, max_size):
+    return st.lists(st.sampled_from([f"{prefix}{i}" for i in range(30)]),
+                    min_size=min_size, max_size=max_size)
 
 
 class TestRoundTrips:
     def test_round_trips_hold(self):
         assert run_round_trips(250) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), vocab=st.sampled_from([PLAIN_VOCAB, SPECIAL_VOCAB]))
+    def test_detag_inverts_render_property(self, data, vocab):
+        sentence = data.draw(_words("w", 1, 8))
+        start = data.draw(st.integers(0, len(sentence) - 1))
+        end = data.draw(st.integers(start + 1, len(sentence)))
+        hypernym = data.draw(_words("h", 1, 2))
+        b = bundle(sentence[start:end], data.draw(_words("t", 1, 3)), hypernym,
+                   hypernym_tgt=hypernym, start=start)
+        assert _round_trip_holds(sentence, start, end, b, vocab)
 
     def test_rendering_preserves_outside_tokens(self):
         rng = random.Random(7)
