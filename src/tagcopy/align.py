@@ -313,10 +313,10 @@ def train_alignment(
         raise InvalidParams(f"iterations must be >= 1, got {iterations}")
     if not 0.0 <= p0 < 1.0:
         raise InvalidParams(f"p0 must be in [0, 1), got {p0}")
-    if tension < 0.0:
-        raise InvalidParams(f"tension must be >= 0, got {tension}")
-    if vb and alpha <= 0.0:
-        raise InvalidParams(f"alpha must be > 0 in vb mode, got {alpha}")
+    if not 0.0 <= tension < math.inf:
+        raise InvalidParams(f"tension must be finite and >= 0, got {tension}")
+    if vb and not 0.0 < alpha < math.inf:
+        raise InvalidParams(f"alpha must be finite and > 0 in vb mode, got {alpha}")
     if direction not in (FORWARD, REVERSE):
         raise InvalidParams(f"unknown direction {direction!r}")
     import numpy as np

@@ -17,10 +17,9 @@ import json
 import logging
 import operator
 import re
-import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 
 from .corpus import TokenSeq, check_json_values, read_records
 from .errors import HttpError, InvalidParams, MalformedResponse
@@ -183,10 +182,10 @@ class SpotlightClient:
     ``transport`` is a callable ``(url, params) -> (status_code, body_text)``
     so tests can replay recorded responses without a network; it signals a
     failed connection with an ``OSError`` (``requests.RequestException`` is
-    one). Results are cached per sentence, and a sentence already in flight
-    is not sent again: later callers wait for the first call's result, and a
-    failure reaches every waiter without being cached. Failed requests are
-    retried with exponential backoff before raising HttpError.
+    one). The client caches nothing: each ``annotate`` of a non-empty
+    sentence sends one request, so a caller with repeated text dedups it
+    first, as :func:`annotate_corpus` does. Failed requests are retried with
+    exponential backoff before raising HttpError.
     """
 
     def __init__(
@@ -204,35 +203,12 @@ class SpotlightClient:
         self.max_retries = max_retries
         self.backoff = backoff
         self._transport = transport or _default_transport(timeout)
-        self._cache: dict[str, list[EntityMention]] = {}
-        self._in_flight: dict[str, Future] = {}
-        self._lock = threading.Lock()
 
     def annotate(self, sentence: TokenSeq) -> list[EntityMention]:
         text = " ".join(sentence)
         if not text:
             return []
-        with self._lock:
-            cached = self._cache.get(text)
-            pending = self._in_flight.get(text)
-            if cached is None and pending is None:
-                mine = self._in_flight[text] = Future()
-        if cached is not None:
-            return list(cached)
-        if pending is not None:
-            return list(pending.result())
-        try:
-            mentions = mentions_from_response(self._request(text), sentence)
-        except BaseException as exc:
-            with self._lock:
-                del self._in_flight[text]
-            mine.set_exception(exc)
-            raise
-        with self._lock:
-            self._cache[text] = mentions
-            del self._in_flight[text]
-        mine.set_result(mentions)
-        return list(mentions)
+        return mentions_from_response(self._request(text), sentence)
 
     def _request(self, text: str) -> dict:
         params = {"text": text, "confidence": str(self.confidence)}
@@ -262,10 +238,14 @@ class SpotlightClient:
 
 
 def annotate_corpus(client, sentences: list[TokenSeq], max_in_flight: int = 4):
-    """Annotate many sentences with bounded request concurrency; each
-    distinct non-empty text goes to ``client.annotate`` once, in first-seen
-    order, and every input gets its own list of the result, in input order.
-    A duplicate thus never holds a worker waiting on the in-flight first."""
+    """Annotate many sentences, at most ``max_in_flight`` requests at a time.
+
+    This is where repeated text is sent once: each distinct non-empty text
+    goes to ``client.annotate`` once, in first-seen order. Every input gets
+    its own copies of the mentions found for its text, in input order, so
+    a later in-place change to one line's mentions leaves the others as
+    they were.
+    """
     texts = [" ".join(s) for s in sentences]
     first: dict[str, TokenSeq] = {}
     for text, sentence in zip(texts, sentences):
@@ -273,7 +253,7 @@ def annotate_corpus(client, sentences: list[TokenSeq], max_in_flight: int = 4):
             first.setdefault(text, sentence)
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
         found = dict(zip(first, pool.map(client.annotate, first.values())))
-    return [list(found.get(text, ())) for text in texts]
+    return [[replace(m) for m in found.get(text, ())] for text in texts]
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +337,18 @@ def resolve_hypernym(uri: str, resolver) -> TokenSeq | None:
 
 
 def fill_hypernyms(mention_lists, resolver) -> int:
-    """Look up the hypernym of every mention that has none; returns how
-    many were found."""
+    """Look up the hypernym of every mention that has none, each distinct
+    uri once per call; returns how many mentions were filled."""
+    found: dict[str, TokenSeq | None] = {}
     filled = 0
     for mentions in mention_lists:
         for m in mentions:
             if m.hypernym is None:
-                m.hypernym = resolve_hypernym(m.uri, resolver)
-                filled += m.hypernym is not None
+                if m.uri not in found:
+                    found[m.uri] = resolve_hypernym(m.uri, resolver)
+                if found[m.uri] is not None:
+                    m.hypernym = list(found[m.uri])
+                    filled += 1
     return filled
 
 

@@ -139,7 +139,11 @@ class TestTraining:
             {"p0": 1.0},
             {"p0": -0.1},
             {"tension": -1.0},
+            {"tension": math.nan},
+            {"tension": math.inf},
             {"vb": True, "alpha": 0.0},
+            {"vb": True, "alpha": math.nan},
+            {"vb": True, "alpha": math.inf},
             {"direction": "sideways"},
         ],
     )

@@ -124,6 +124,14 @@ class TestAlignChain:
         assert rc == 0
         assert model_path.exists()
 
+    def test_non_finite_tension_exits_2_without_a_model(self, tmp_path, toy_dir, capsys):
+        model_path = tmp_path / "m.tsv"
+        assert cli.main(["align-train", "--src", str(toy_dir / "src.en"),
+                         "--tgt", str(toy_dir / "tgt.zz"), "--tension", "nan",
+                         "--model-out", str(model_path)]) == 2
+        assert "tension" in capsys.readouterr().err
+        assert not model_path.exists()
+
     def test_align_train_writes_the_pruned_model(self, tmp_path, toy_dir, toy_corpus):
         model_path = tmp_path / "m.tsv"
         assert cli.main(["align-train", "--src", str(toy_dir / "src.en"),
@@ -510,6 +518,14 @@ class TestPipelineRun:
         assert rc == 2
         assert "[link]" in capsys.readouterr().err
 
+    def test_infinite_tension_stops_the_align_stage(self, tmp_path, toy_dir, capsys):
+        config = write_config(
+            tmp_path / "config.yaml", toy_dir, tmp_path / "run",
+            aligner={"iterations": 5, "tension": float("inf"), "p0": 0.08},
+        )
+        assert ".inf" in config.read_text(encoding="utf-8")
+        assert cli.main(["pipeline-run", "--config", str(config)]) == 2
+        assert "[align] tension" in capsys.readouterr().err
 
     def test_reserved_tag_token_stops_the_run_before_training(self, tmp_path, toy_dir, capsys):
         lines = (toy_dir / "tgt.zz").read_text(encoding="utf-8").splitlines(keepends=True)
@@ -606,6 +622,49 @@ class TestStageParity:
         assert myanmar and all(m.hypernym == ["state"] for m in myanmar)
         for rel, chained in pairs.items():
             assert chained.read_bytes() == (run / rel).read_bytes(), rel
+
+    def test_remote_annotation_matches_the_subcommands(self, tmp_path, toy_dir, monkeypatch):
+        # an in-process annotate endpoint: the toy gazetteer's mentions sent
+        # back as Spotlight resources with character offsets
+        gaz = link.Gazetteer.from_tsv(toy_dir / "gazetteer.tsv")
+        texts = []
+
+        def endpoint(url, params):
+            texts.append(params["text"])
+            tokens = params["text"].split(" ")
+            spans = link.token_char_spans(tokens)
+            return 200, json.dumps({"Resources": [
+                {"@URI": m.uri, "@surfaceForm": " ".join(m.surface),
+                 "@offset": str(spans[m.start][0])}
+                for m in link.annotate_gazetteer(tokens, gaz)
+            ]})
+
+        monkeypatch.setattr(link, "_default_transport", lambda timeout: endpoint)
+        monkeypatch.delenv("LINKER_ENDPOINT", raising=False)
+        url, hypernyms = "http://annotator.invalid/annotate", str(toy_dir / "hypernyms.tsv")
+        config = write_config(
+            tmp_path / "config.yaml", toy_dir, tmp_path / "run", tagging={"methods": ["hypa"]},
+            linker={"mode": "remote", "endpoint": url, "hypernyms": hypernyms},
+        )
+        assert cli.main(["pipeline-run", "--config", str(config)]) == 0
+        # 200 toy lines, one of which repeats an earlier one
+        assert (len(texts), len(set(texts))) == (199, 199)
+
+        texts.clear()
+        bare, chained = tmp_path / "mentions.jsonl", tmp_path / "annotations.jsonl"
+        assert cli.main(["link-annotate", "--src", str(toy_dir / "src.en"), "--mode", "remote",
+                         "--endpoint", url, "--out", str(bare)]) == 0
+        assert (len(texts), len(set(texts))) == (199, 199)
+        assert cli.main(["link-hypernyms", "--annotations", str(bare),
+                         "--hypernyms", hypernyms, "--out", str(chained)]) == 0
+        piped = (tmp_path / "run" / "link" / "annotations.jsonl").read_bytes()
+        assert chained.read_bytes() == piped
+        # the endpoint's answers carry the gazetteer's mentions, and the toy
+        # hypernym file holds the gazetteer's labels
+        direct = tmp_path / "gazetteer.jsonl"
+        assert cli.main(["link-annotate", "--src", str(toy_dir / "src.en"),
+                         "--gazetteer", str(toy_dir / "gazetteer.tsv"), "--out", str(direct)]) == 0
+        assert read_annotations(chained) == read_annotations(direct)
 
 
 class TestConfig:

@@ -1,7 +1,5 @@
 import json
 import logging
-import threading
-import time
 
 import pytest
 import requests
@@ -16,6 +14,7 @@ from tagcopy.link import (
     SpotlightClient,
     annotate_corpus,
     annotate_gazetteer,
+    fill_hypernyms,
     mentions_from_response,
     project_entity_span,
     read_annotations,
@@ -184,12 +183,8 @@ class TestClient:
         payload = load_spotlight_fixture("resp_simple.json")
         transport = FakeTransport([_ok(payload)])
         client = SpotlightClient("http://annotator/annotate", transport=transport)
-        sentence = payload["@text"].split()
-        first = client.annotate(sentence)
-        second = client.annotate(sentence)
-        assert [m.uri for m in first] == ["http://dbpedia.org/resource/Myanmar"]
-        assert [m.uri for m in second] == [m.uri for m in first]
-        assert len(transport.calls) == 1
+        mentions = client.annotate(payload["@text"].split())
+        assert [m.uri for m in mentions] == ["http://dbpedia.org/resource/Myanmar"]
         assert transport.calls[0][1]["confidence"] == "0.5"
 
     def test_retries_then_succeeds(self):
@@ -272,56 +267,15 @@ class TestClient:
             ["kb:a"], ["kb:a"], ["kb:b"], ["kb:c"], ["kb:c"], ["kb:a"], []]
         assert len({id(r) for r in results}) == 7
 
-    def _race(self, transport, threads=2):
-        """Start ``threads`` callers on one sentence together; returns the
-        result or exception of each."""
-        client = SpotlightClient("http://annotator/annotate", transport=transport, backoff=0.001)
-        start = threading.Barrier(threads)
-        results = [None] * threads
-
-        def call(k):
-            start.wait(timeout=5)
-            try:
-                results[k] = client.annotate(["myanmar", "was"])
-            except HttpError as exc:
-                results[k] = exc
-
-        workers = [threading.Thread(target=call, args=(k,)) for k in range(threads)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=10)
-            assert not w.is_alive()
-        return client, results
-
-    def test_sentence_in_flight_is_sent_once(self):
-        calls = []
-
+    def test_repeated_lines_get_their_own_mentions(self):
         def transport(url, params):
-            calls.append(params["text"])
-            time.sleep(0.2)  # keep the first request in flight while the other caller arrives
-            return _ok({"Resources": [
-                {"@URI": "kb:M", "@surfaceForm": "myanmar", "@offset": "0"}
-            ]})
+            return _ok({"Resources": [{"@URI": "kb:m", "@surfaceForm": "m", "@offset": "0"}]})
 
-        _, results = self._race(transport)
-        assert calls == ["myanmar was"]
-        assert [[m.uri for m in r] for r in results] == [["kb:M"], ["kb:M"]]
-
-    def test_failure_reaches_every_waiter_and_is_not_cached(self):
-        calls = []
-
-        def transport(url, params):
-            calls.append(params["text"])
-            time.sleep(0.2)
-            return 404, "not found"
-
-        client, results = self._race(transport)
-        assert len(calls) == 1
-        assert all(isinstance(r, HttpError) for r in results)
-        with pytest.raises(HttpError):
-            client.annotate(["myanmar", "was"])
-        assert len(calls) == 2
+        client = SpotlightClient("http://annotator/annotate", transport=transport)
+        results = annotate_corpus(client, [["m", "a"], ["m", "a"], ["m", "b"]])
+        assert fill_hypernyms(results, OfflineHypernyms({"kb:m": "letter"})) == 3
+        assert len({id(m) for r in results for m in r}) == 3
+        assert [[m.hypernym for m in r] for r in results] == [[["letter"]]] * 3
 
 
 class TestHypernyms:
@@ -340,6 +294,24 @@ class TestHypernyms:
     def test_from_tsv(self, toy_dir):
         resolver = OfflineHypernyms.from_tsv(toy_dir / "hypernyms.tsv")
         assert resolve_hypernym("http://example.org/kb/Osaka", resolver) == ["port", "city"]
+
+    def test_fill_looks_up_each_uri_once(self):
+        class Counting(OfflineHypernyms):
+            lookups = 0
+
+            def lookup(self, uri):
+                self.lookups += 1
+                return super().lookup(uri)
+
+        resolver = Counting({"kb:M": "state"})
+        mentions = [[EntityMention(0, 1, ["m"], "kb:M")] for _ in range(3)]
+        mentions.append([EntityMention(0, 1, ["x"], "kb:X"), EntityMention(1, 2, ["x"], "kb:X")])
+        assert fill_hypernyms(mentions, resolver) == 3
+        assert resolver.lookups == 2
+        filled = [m.hypernym for ms in mentions[:3] for m in ms]
+        assert filled == [["state"]] * 3
+        assert len({id(h) for h in filled}) == 3
+        assert [m.hypernym for m in mentions[3]] == [None, None]
 
     def test_remote_prefers_gold_fact(self):
         uri = "http://dbpedia.org/resource/Myanmar"
