@@ -12,8 +12,8 @@ from .corpus import NormProfile, ParallelCorpus, SentencePair, read_parallel, sp
 from .align import AlignModel, corpus_perplexity, symmetrize, train_alignment, viterbi_align
 from .lexicon import TranslationTable, build_translation_table, translate_word
 from .link import EntityMention, Gazetteer, SpotlightClient, project_entity_span
-from .template import TagVocabulary, TemplateMethod, detag, tag_corpus
-from .metrics import bleu, copy_accuracy, pos_accuracy, pos_project, significance
+from .template import TagVocabulary, TemplateMethod, detag, select_bundles, tag_corpus
+from .metrics import bleu, copy_accuracy, pos_accuracy, significance
 
 __all__ = [
     "AlignModel",
@@ -32,9 +32,9 @@ __all__ = [
     "corpus_perplexity",
     "detag",
     "pos_accuracy",
-    "pos_project",
     "project_entity_span",
     "read_parallel",
+    "select_bundles",
     "significance",
     "split_holdout",
     "symmetrize",

@@ -142,11 +142,12 @@ def _annotate_and_write(src_path, profile, linker: LinkerParams, resolver, path)
     return by_line
 
 
-def _tag_and_write(corpus, annotations, alignments, table, method, vocab, out) -> template.TagStats:
-    """Tag with one method and write ``out``'s (src, tgt, manifest) paths."""
-    tagged, stats = template.tag_corpus(corpus, annotations, alignments, table, method, vocab)
-    template.write_tagged(tagged, *out, vocab)
-    return stats
+def _tag_stats(selected) -> dict:
+    """Pair counts of one selection; every method renders the same one."""
+    total = len(selected)
+    tagged = sum(1 for bundles in selected if bundles)
+    return {"total_pairs": total, "tagged_pairs": tagged,
+            "tag_fraction": tagged / total if total else 0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +233,25 @@ def cmd_tag_apply(args) -> int:
     corpus = read_parallel(args.src, args.tgt, _profile(args))
     _check_untagged(corpus, vocab, args.src, args.tgt)
     by_line = link.read_annotations(args.annotations)
+    lines = len(corpus.pairs) + corpus.dropped_count
+    if outside := [n for n in by_line if not 0 <= n < lines]:
+        raise MalformedFile(
+            f"{args.annotations}: line_no {outside[0]} is outside the {lines} source lines"
+        )
     annotations = [by_line.get(pair.line_no, []) for pair in corpus.pairs]
     alignments = align.read_pharaoh(args.alignments)
     table = lexicon.load_table(args.table)
-    out = (args.out_src, args.out_tgt, args.manifest)
-    stats = _tag_and_write(corpus, annotations, alignments, table, method, vocab, out)
+    try:
+        selected = template.select_bundles(corpus, annotations, alignments, table)
+    except MalformedFile as exc:
+        exc.args = (f"{args.annotations}: {exc}",)
+        raise
+    tagged = template.tag_corpus(corpus, selected, method, vocab)
+    template.write_tagged(tagged, args.out_src, args.out_tgt, args.manifest, vocab)
+    stats = _tag_stats(selected)
     print(
-        f"tagged {stats.tagged_pairs}/{stats.total_pairs} pairs "
-        f"(fraction {stats.tag_fraction:.4f})"
+        f"tagged {stats['tagged_pairs']}/{stats['total_pairs']} pairs "
+        f"(fraction {stats['tag_fraction']:.4f})"
     )
     return 0
 
@@ -364,7 +376,6 @@ def cmd_pipeline_run(args) -> int:
         artifacts.append(workdir / rel)
         return artifacts[-1]
 
-    tag_stats: dict[str, dict] = {}
     stage = "corpus"
     try:
         corpus = read_parallel(cfg.src, cfg.tgt, cfg.profile)
@@ -394,18 +405,13 @@ def cmd_pipeline_run(args) -> int:
         mention_lists = [by_line[pair.line_no] for pair in corpus.pairs]
 
         stage = "tag"
+        selected = template.select_bundles(corpus, mention_lists, sym, table)
+        stats = _tag_stats(selected)
+        log.info("[tag] %d/%d pairs tagged", stats["tagged_pairs"], stats["total_pairs"])
         for method in cfg.methods:
             out = [artifact(f"tagged/{method.value}.{x}") for x in ("src", "tgt", "manifest.jsonl")]
-            stats = _tag_and_write(corpus, mention_lists, sym, table, method, cfg.vocab, out)
-            tag_stats[method.value] = {
-                "total_pairs": stats.total_pairs,
-                "tagged_pairs": stats.tagged_pairs,
-                "tag_fraction": stats.tag_fraction,
-            }
-            log.info(
-                "[tag] %s: %d/%d pairs tagged",
-                method.value, stats.tagged_pairs, stats.total_pairs,
-            )
+            template.write_tagged(template.tag_corpus(corpus, selected, method, cfg.vocab),
+                                  *out, cfg.vocab)
     except ToolkitError as exc:
         exc.args = (f"[{stage}] {exc}",)
         raise
@@ -418,7 +424,7 @@ def cmd_pipeline_run(args) -> int:
         "artifacts": {
             str(path.relative_to(workdir)): _sha256(path) for path in artifacts
         },
-        "tag_stats": tag_stats,
+        "tag_stats": {m.value: stats for m in cfg.methods},
     }
     manifest_path = workdir / "stage_manifest.json"
     with open(manifest_path, "w", encoding="utf-8") as f:

@@ -16,8 +16,6 @@ from .corpus import TokenSeq
 from .errors import CountMismatch, EmptyCorpus, EmptyInput, InvalidParams, LengthMismatch
 from .template import METHODS, ManifestEntry, TemplateMethod, extract_regions, split_region
 
-UNALIGNED_TAG = "X"
-
 # the bundle field each scored component appears as in undelimited output
 _OUTPUT_FIELD = {"translation": "translation", "hypernym": "hypernym_tgt"}
 
@@ -217,25 +215,7 @@ def write_copy_tsv(report: CopyReport, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# POS projection and accuracy
-
-
-def pos_project(src_pos: list[str], links: set[tuple[int, int]], tgt_len: int) -> list[str]:
-    """Project source POS tags onto target tokens through alignment links.
-
-    A target token linked to several source tokens takes the POS of the
-    lowest-indexed one; unaligned target tokens get the placeholder tag.
-    """
-    by_tgt: dict[int, int] = {}
-    for i, j in links:
-        if not (0 <= i < len(src_pos)) or not (0 <= j < tgt_len):
-            raise LengthMismatch(
-                f"link {i}-{j} out of bounds for {len(src_pos)} source tags "
-                f"and {tgt_len} target tokens"
-            )
-        if j not in by_tgt or i < by_tgt[j]:
-            by_tgt[j] = i
-    return [src_pos[by_tgt[j]] if j in by_tgt else UNALIGNED_TAG for j in range(tgt_len)]
+# per-POS accuracy
 
 
 @dataclass

@@ -17,6 +17,10 @@ is what makes verbatim copying learnable; hypa keeps the translation span
 and appends the table-translated hypernym (or the source-language hypernym
 when the table cannot cover it).
 
+Tagging a corpus takes two steps: ``select_bundles`` picks the mentions to
+tag, once per corpus, and ``tag_corpus`` renders that selection for one
+method.
+
 Tagged corpora are written as parallel text files plus a JSON Lines
 manifest that records, per tagged line, the method, the tag vocabulary and
 every bundle's components; the manifest is the ground truth the evaluation
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .corpus import ParallelCorpus, TokenSeq, check_json_values, read_records
-from .errors import InvalidParams, LengthMismatch, MissingComponent
+from .errors import InvalidParams, LengthMismatch, MalformedFile, MissingComponent
 from .lexicon import TranslationTable, translate_tokens, translate_tokens_strict
 from .link import EntityMention, project_entity_span
 
@@ -60,11 +64,6 @@ class MethodSpec:
     slots: tuple[str, ...]
     delimited: bool
     scored: tuple[str, ...]
-
-    @property
-    def needs(self) -> tuple[str, ...]:
-        """Components a bundle must carry; the entity is the mention itself."""
-        return tuple(s for s in self.slots if s != "entity")
 
     @property
     def reads_table(self) -> bool:
@@ -143,21 +142,11 @@ class TaggedPair:
     line_no: int
 
 
-@dataclass
-class TagStats:
-    total_pairs: int
-    tagged_pairs: int
-
-    @property
-    def tag_fraction(self) -> float:
-        return self.tagged_pairs / self.total_pairs if self.total_pairs else 0.0
-
-
 def _tag_content(method: TemplateMethod, bundle: BundleRecord, vocab: TagVocabulary) -> TokenSeq:
     """The token run the source side writes in place of the entity; a
     delimited method writes the same run on the target side."""
     spec = METHODS[method]
-    for slot in spec.needs:
+    for slot in spec.slots:
         if not getattr(bundle, slot):
             raise MissingComponent(f"method {method.value!r} needs a {slot}")
     if not spec.delimited:
@@ -206,37 +195,41 @@ def render_target_template(
     return tgt_sentence[:end] + bundle.hypernym_tgt + tgt_sentence[end:]
 
 
-def tag_corpus(
+def select_bundles(
     corpus: ParallelCorpus,
     annotations: list[list[EntityMention]],
     alignments: list[set[tuple[int, int]]],
     table: TranslationTable,
-    method: TemplateMethod,
-    vocab: TagVocabulary = SPECIAL_VOCAB,
-) -> tuple[list[TaggedPair], TagStats]:
-    """Tag every pair whose mentions are eligible.
+) -> list[list[BundleRecord]]:
+    """The bundles to tag, one list per pair, in source order.
 
-    A mention is eligible iff it has a uri, a hypernym, and a projectable
-    target span. The criterion never looks at the method, so the tagged
-    (line, span) set is identical across all methods; a pair counts as
-    tagged when it has at least one eligible mention (baseline included,
-    where rendering is the identity but the bundles still feed evaluation
-    and tag-only subsets). Eligible mentions are rendered right to left so
-    earlier spans keep their indices.
+    A mention is selected iff it has a uri, a hypernym, and a projectable
+    target span. The rule never looks at the method, so one selection serves
+    every method and they all tag the same (line, span) set; a pair counts
+    as tagged when its list is not empty (baseline included, where rendering
+    is the identity but the bundles still feed evaluation and tag-only
+    subsets).
+
+    Every mention must fit its pair's source side: a span past the end of
+    the sentence, a surface that is not the tokens under the span, or two
+    overlapping mentions raise MalformedFile naming the pair's line_no.
     """
-    if len(annotations) != len(corpus.pairs):
-        raise LengthMismatch(
-            f"{len(annotations)} annotation rows for {len(corpus.pairs)} pairs"
-        )
-    if len(alignments) != len(corpus.pairs):
-        raise LengthMismatch(
-            f"{len(alignments)} alignment rows for {len(corpus.pairs)} pairs"
-        )
-    out = []
-    tagged_pairs = 0
+    for name, rows in (("annotation", annotations), ("alignment", alignments)):
+        if len(rows) != len(corpus.pairs):
+            raise LengthMismatch(f"{len(rows)} {name} rows for {len(corpus.pairs)} pairs")
+    selected = []
     for pair, mentions, links in zip(corpus.pairs, annotations, alignments):
         bundles = []
+        prev_end = 0
         for m in sorted(mentions, key=lambda m: m.start):
+            where = f"line_no {pair.line_no}: mention [{m.start}, {m.end})"
+            if not 0 <= m.start < m.end <= len(pair.src) or m.surface != pair.src[m.start:m.end]:
+                raise MalformedFile(
+                    f"{where} {m.surface!r} does not fit the {len(pair.src)} source tokens"
+                )
+            if m.start < prev_end:
+                raise MalformedFile(f"{where} overlaps the mention before it")
+            prev_end = m.end
             if not m.uri or not m.hypernym:
                 continue
             span = project_entity_span(m, links, len(pair.tgt))
@@ -248,15 +241,27 @@ def tag_corpus(
                 [m.start, m.end], [lo, hi], m.surface, pair.tgt[lo:hi], m.hypernym,
                 hypernym_tgt, m.uri,
             ))
-        src = list(pair.src)
-        tgt = list(pair.tgt)
-        for b in sorted(bundles, key=lambda b: b.src_span[0], reverse=True):
+        selected.append(bundles)
+    return selected
+
+
+def tag_corpus(
+    corpus: ParallelCorpus,
+    selected: list[list[BundleRecord]],
+    method: TemplateMethod,
+    vocab: TagVocabulary = SPECIAL_VOCAB,
+) -> list[TaggedPair]:
+    """Render one method over the bundles :func:`select_bundles` chose for
+    ``corpus``, right to left so earlier spans keep their indices."""
+    out = []
+    for pair, bundles in zip(corpus.pairs, selected, strict=True):
+        src, tgt = list(pair.src), list(pair.tgt)
+        for b in reversed(bundles):
             src = render_source_template(method, b, src, vocab)
         for b in sorted(bundles, key=lambda b: b.tgt_span[0], reverse=True):
             tgt = render_target_template(method, b, tgt, vocab)
-        tagged_pairs += bool(bundles)
         out.append(TaggedPair(src, tgt, method, bundles, pair.line_no))
-    return out, TagStats(len(corpus.pairs), tagged_pairs)
+    return out
 
 
 # ---------------------------------------------------------------------------

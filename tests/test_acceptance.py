@@ -30,6 +30,7 @@ from tagcopy.template import (
     ManifestEntry,
     TemplateMethod,
     render_source_template,
+    select_bundles,
     tag_corpus,
 )
 from test_cli import write_config
@@ -108,16 +109,16 @@ def test_criterion_04_template_round_trips():
 
 def test_criterion_05_method_parity(toy_corpus, toy_annotations, toy_gold_alignments, toy_table):
     with criterion(5, "identical tagged (line, span) sets across methods; tag fraction 0.25 +/- 0.005"):
+        selected = select_bundles(toy_corpus, toy_annotations, toy_gold_alignments, toy_table)
         span_sets = []
         for method in (M.BASELINE,) + TAGGED_METHODS:
-            tagged, stats = tag_corpus(
-                toy_corpus, toy_annotations, toy_gold_alignments, toy_table, method
-            )
+            tagged = tag_corpus(toy_corpus, selected, method)
             span_sets.append({
                 (tp.line_no, *b.src_span)
                 for tp in tagged for b in tp.bundles
             })
-            assert abs(stats.tag_fraction - 0.25) <= 0.005, stats.tag_fraction
+            tag_fraction = sum(1 for tp in tagged if tp.bundles) / len(tagged)
+            assert abs(tag_fraction - 0.25) <= 0.005, tag_fraction
         assert all(s == span_sets[0] for s in span_sets[1:])
         assert len({ln for ln, _, _ in span_sets[0]}) == 50
 
@@ -136,10 +137,9 @@ def test_criterion_07_copy_accuracy_oracle(
 ):
     with criterion(7, "perfect copier scores 1.0; 1 missing + 1 corrupted region gives {k-2, 1, 1}"):
         # a simulated perfect copier emits exactly the tagged target sentences
+        selected = select_bundles(toy_corpus, toy_annotations, toy_gold_alignments, toy_table)
         for method in (M.BASELINE,) + TAGGED_METHODS:
-            tagged, _ = tag_corpus(
-                toy_corpus, toy_annotations, toy_gold_alignments, toy_table, method
-            )
+            tagged = tag_corpus(toy_corpus, selected, method)
             manifest = manifest_from_tagged(tagged, SPECIAL_VOCAB)
             outputs = [tp.tgt for tp in tagged]
             report = copy_accuracy(manifest, outputs, method)
@@ -147,9 +147,7 @@ def test_criterion_07_copy_accuracy_oracle(
                 assert report.accuracy(component) == 1.0, (method, component)
             assert (report.correct, report.no_tag, report.wrong_tag) == (report.total, 0, 0)
 
-        tagged, _ = tag_corpus(
-            toy_corpus, toy_annotations, toy_gold_alignments, toy_table, M.TRANSA
-        )
+        tagged = tag_corpus(toy_corpus, selected, M.TRANSA)
         manifest = manifest_from_tagged(tagged, SPECIAL_VOCAB)
         outputs = [list(tp.tgt) for tp in tagged]
         single = [e for e in manifest if len(e.bundles) == 1]

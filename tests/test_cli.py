@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import os
@@ -340,6 +341,44 @@ class TestTagApply:
         assert cli.main([*argv, "--vocab", "plain"]) == 0
 
 
+    MENTION = {"uri": "kb:X", "hypernym": ["thing"]}
+    UNFIT = {
+        "overlap": [(0, [(0, 2, ["the", "king"]), (1, 3, ["king", "praised"])])],
+        # the surface equals the clipped slice src[4:7]; only the end is wrong
+        "end_past_line": [(0, [(4, 7, ["border", "."])])],
+        "surface": [(1, [(1, 2, ["queen"])])],
+        "far_span": [(0, [(0, 50, ["zzz"])])],
+        "line_past_corpus": [(0, []), (7, [])],
+    }
+
+    @pytest.mark.parametrize("case", UNFIT)
+    def test_refuses_annotations_that_do_not_fit(self, tmp_path, toy_dir, prepared, capsys, case):
+        src, tgt = tmp_path / "in.en", tmp_path / "in.zz"
+        align_file, ann = tmp_path / "in.align", tmp_path / "in.jsonl"
+        for path, fixture in ((src, "src.en"), (tgt, "tgt.zz"), (align_file, "gold.align")):
+            lines = (toy_dir / fixture).read_text(encoding="utf-8").splitlines(keepends=True)
+            path.write_text("".join(lines[:2]), encoding="utf-8")
+        rows = [
+            {"line_no": line_no, "mentions": [
+                {"start": a, "end": b, "surface": surface, **self.MENTION}
+                for a, b, surface in mentions
+            ]}
+            for line_no, mentions in self.UNFIT[case]
+        ]
+        ann.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        rc = cli.main([
+            "tag-apply", "--src", str(src), "--tgt", str(tgt), "--annotations", str(ann),
+            "--alignments", str(align_file), "--table", str(prepared["table"]),
+            "--method", "trans", "--vocab", "plain", "--out-src", str(tmp_path / "o.src"),
+            "--out-tgt", str(tmp_path / "o.tgt"), "--manifest", str(tmp_path / "o.jsonl"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{ann}: line_no {rows[-1]['line_no']}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o.src").exists()
+
+
 class TestEvalCommands:
     def test_bleu_identity(self, toy_dir, capsys):
         rc = cli.main([
@@ -499,6 +538,46 @@ class TestPipelineRun:
             assert (workdir / rel).exists()
             assert len(digest) == 64
         assert len(read_manifest(workdir / "tagged" / "transa.manifest.jsonl")) > 0
+
+    # sha256 of the toy run's annotations and tagged files; a change to how
+    # tagging is organised must leave every one of them as it is
+    TOY_DIGESTS = {
+        "link/annotations.jsonl": "ab0d505af54f12636506394ef47323874f62a86a753a1649fd62f6f5b3f647f7",
+        "tagged/add.manifest.jsonl": "439076591af4333460294c7d0f8e3b42de985904f8673c723b10c1e534c48824",
+        "tagged/add.src": "179adf48e9ade2459ef84641aa2b52c7f527832824aa542044a80927e8b50f17",
+        "tagged/add.tgt": "d3fdec29525838136fe4c84ec27c990ce8eced49e5de18b34fa10305b9ab5797",
+        "tagged/baseline.manifest.jsonl": "e72617593c376dd70a24ae8d992ca2eceddd436cbc5a616700ea103d850c51fa",
+        "tagged/baseline.src": "fe5e582f409e05f0fdd233b337193b43d7c0a5f01fccef1be869dde0de8022c7",
+        "tagged/baseline.tgt": "7538be0c4486bd8f4bcce430d4c28cefc0887c2ed672ef3b0c5778e21426253b",
+        "tagged/hypa.manifest.jsonl": "23b0bdc14338985c96eecc1a737ecab2f921ea19f0141e77062de6d3e842a57d",
+        "tagged/hypa.src": "0546d0974aa299736fcb6a94400e69bcbefe600cb21dc9e6c100690b666df5b5",
+        "tagged/hypa.tgt": "31890fe8046827a0c645a5db9801f4e8a3793930d0992cb582c62579c57730de",
+        "tagged/tag.manifest.jsonl": "e741a92e76a8072bdfbc3931aa91d6ecfd9cf3ee9d2404ca0f2fed3b5f02829f",
+        "tagged/tag.src": "b16123294430048e10b0a3391251ceb44b6e95b85ab3d7d5b48f8cee86cab1e5",
+        "tagged/tag.tgt": "d2fffea2e699fb071a89768a8d7eea27d5c83860beb4a2d15747c00200d19541",
+        "tagged/trans.manifest.jsonl": "f0fb5ff4e3ca46f13d3a2c39955c6488156d0ecf487aa8999e40514da97f06d7",
+        "tagged/trans.src": "04a4dcbb6c2df5a54deec4525ed13cf75da121d8c1184726d2c605b54e8f5649",
+        "tagged/trans.tgt": "6bbf3bebb1e4453340343f8da92bf579d7ecba2eb67dfe3370a2a6744a9eebb7",
+        "tagged/transa.manifest.jsonl": "bed4bf77cea799ef088e61d5653710f9756e18ffb5213f1f2c39107d18aea5ae",
+        "tagged/transa.src": "8f34971ed815597fe9bd49125ba79c2823443f3ab8069ee61018dbb5cc8001d5",
+        "tagged/transa.tgt": "6b5890027e7308478ddd484ae046f5680a7f93d2c2bd3e40146510a68ab82c82",
+        "tagged/transr.manifest.jsonl": "606c14172eec283830798c2dace40e92ca6f5a4b7fdb0b6d301b0b2bab7461ef",
+        "tagged/transr.src": "8768a4a9355f7e54cc1eccd0c7b24eebb6f6edb8849e94f5fe3ed5994b0dd521",
+        "tagged/transr.tgt": "b2a9ee2c13ddf3f6c94511fb0515fd1c32eb6d59b18465290c6fbaf2e2b81b53",
+    }
+
+    def test_toy_tag_outputs_are_pinned(self, tmp_path, toy_dir):
+        # the float model dumps are left out: their digits may differ
+        # across numpy builds
+        workdir = tmp_path / "run"
+        config = write_config(tmp_path / "config.yaml", toy_dir, workdir)
+        assert cli.main(["pipeline-run", "--config", str(config)]) == 0
+        digests = {
+            rel: hashlib.sha256((workdir / rel).read_bytes()).hexdigest()
+            for rel in self.TOY_DIGESTS
+        }
+        assert digests == self.TOY_DIGESTS
+        assert len(list((workdir / "tagged").iterdir())) == 21
 
     def test_single_method_override(self, tmp_path, toy_dir):
         workdir = tmp_path / "run"

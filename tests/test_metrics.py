@@ -9,7 +9,6 @@ from tagcopy.errors import (
     EmptyCorpus,
     EmptyInput,
     InvalidParams,
-    LengthMismatch,
 )
 from tagcopy.metrics import (
     bleu,
@@ -17,7 +16,6 @@ from tagcopy.metrics import (
     format_copy_report,
     format_pos_report,
     pos_accuracy,
-    pos_project,
     significance,
     write_copy_tsv,
     write_pos_tsv,
@@ -28,6 +26,7 @@ from tagcopy.template import (
     BundleRecord,
     ManifestEntry,
     TemplateMethod,
+    select_bundles,
     tag_corpus,
 )
 
@@ -150,10 +149,8 @@ class TestCopyAccuracy:
 
     def test_verbatim_regions_score_one(self, toy_corpus, toy_annotations,
                                          toy_gold_alignments, toy_table):
-        tagged, _ = tag_corpus(
-            toy_corpus, toy_annotations, toy_gold_alignments, toy_table,
-            M.TRANSA, SPECIAL_VOCAB,
-        )
+        selected = select_bundles(toy_corpus, toy_annotations, toy_gold_alignments, toy_table)
+        tagged = tag_corpus(toy_corpus, selected, M.TRANSA, SPECIAL_VOCAB)
         manifest = manifest_from_tagged(tagged, SPECIAL_VOCAB)
         outputs = [tp.tgt for tp in tagged]
         report = copy_accuracy(manifest, outputs, M.TRANSA)
@@ -240,39 +237,7 @@ class TestCopyAccuracy:
 
 
 # ---------------------------------------------------------------------------
-# POS projection and accuracy
-
-
-class TestPosProject:
-    def test_swapped_links(self):
-        assert pos_project(["NOUN", "VERB"], {(0, 1), (1, 0)}, 2) == ["VERB", "NOUN"]
-
-    def test_unaligned_gets_placeholder(self):
-        assert pos_project(["NOUN"], {(0, 0)}, 3) == ["NOUN", "X", "X"]
-
-    def test_one_to_many_fans_out(self):
-        assert pos_project(["NOUN", "VERB"], {(0, 1), (0, 2)}, 3) == ["X", "NOUN", "NOUN"]
-
-    def test_many_to_one_takes_lowest_source(self):
-        assert pos_project(["NOUN", "VERB"], {(0, 0), (1, 0)}, 1) == ["NOUN"]
-
-    def test_identity_alignment_is_identity(self):
-        tags = ["A", "B", "C"]
-        assert pos_project(tags, {(i, i) for i in range(3)}, 3) == tags
-
-    def test_out_of_bounds(self):
-        with pytest.raises(LengthMismatch):
-            pos_project(["NOUN"], {(1, 0)}, 1)
-        with pytest.raises(LengthMismatch):
-            pos_project(["NOUN"], {(0, 2)}, 1)
-
-    def test_output_length_always_tgt_len(self):
-        rng = random.Random(4)
-        for _ in range(100):
-            n, m = rng.randrange(1, 6), rng.randrange(1, 6)
-            tags = [f"P{i}" for i in range(n)]
-            links = {(rng.randrange(n), rng.randrange(m)) for _ in range(rng.randrange(0, 6))}
-            assert len(pos_project(tags, links, m)) == m
+# per-POS accuracy
 
 
 def _pos_entry(line_no, spans):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus
-from tagcopy.errors import InvalidParams, LengthMismatch, MissingComponent
+from tagcopy.errors import InvalidParams, LengthMismatch, MalformedFile, MissingComponent
 from tagcopy.lexicon import TableEntry, TranslationTable
 from tagcopy.link import EntityMention
 from tagcopy.template import (
@@ -21,6 +21,7 @@ from tagcopy.template import (
     read_manifest,
     render_source_template,
     render_target_template,
+    select_bundles,
     split_region,
     tag_corpus,
     write_tagged,
@@ -113,6 +114,14 @@ def _eligible_mention(tokens, start=0):
     return EntityMention(start, start + len(tokens), list(tokens), "kb:X", ["state"])
 
 
+def tag(corpus, annotations, alignments, table, method, vocab=SPECIAL_VOCAB):
+    return tag_corpus(corpus, select_bundles(corpus, annotations, alignments, table), method, vocab)
+
+
+def tagged_count(tagged):
+    return sum(1 for tp in tagged if tp.bundles)
+
+
 class TestTagCorpus:
     def _identity_links(self, corpus):
         return [{(i, i) for i in range(len(p.src))} for p in corpus.pairs]
@@ -125,23 +134,23 @@ class TestTagCorpus:
             ("even more text", "neve erom txet"),
         ])
         annotations = [[_eligible_mention(["myanmar"])], [], [], []]
-        tagged, stats = tag_corpus(
+        tagged = tag(
             corpus, annotations, self._identity_links(corpus), TranslationTable({}),
             M.TAG, PLAIN_VOCAB,
         )
-        assert stats.tagged_pairs == 1
-        assert stats.tag_fraction == pytest.approx(0.25)
+        assert tagged_count(tagged) == 1
+        assert tagged_count(tagged) / len(tagged) == pytest.approx(0.25)
         assert tagged[0].bundles and not tagged[1].bundles
 
     def test_rejected_projection_untags_pair_for_every_method(self):
         corpus = make_corpus([("myanmar was", "saw ramnaym")])
         mention = _eligible_mention(["myanmar"])
         links = [{(0, 1), (1, 1)}]  # target token also aligns outside the span
+        selected = select_bundles(corpus, [[mention]], links, TranslationTable({}))
+        assert selected == [[]]
         for method in (M.BASELINE,) + TAGGED_METHODS:
-            tagged, stats = tag_corpus(
-                corpus, [[mention]], links, TranslationTable({}), method, PLAIN_VOCAB
-            )
-            assert stats.tagged_pairs == 0
+            tagged = tag_corpus(corpus, selected, method, PLAIN_VOCAB)
+            assert tagged_count(tagged) == 0
             assert tagged[0].src == corpus.pairs[0].src
 
     def test_missing_uri_or_hypernym_is_ineligible(self):
@@ -150,18 +159,16 @@ class TestTagCorpus:
         no_uri = EntityMention(0, 1, ["myanmar"], "", ["state"])
         no_hyp = EntityMention(0, 1, ["myanmar"], "kb:M", None)
         for mention in (no_uri, no_hyp):
-            _, stats = tag_corpus(
-                corpus, [[mention]], links, TranslationTable({}), M.TAG, PLAIN_VOCAB
-            )
-            assert stats.tagged_pairs == 0
+            tagged = tag(corpus, [[mention]], links, TranslationTable({}), M.TAG, PLAIN_VOCAB)
+            assert tagged_count(tagged) == 0
 
     def test_two_mentions_render_in_order(self):
         corpus = make_corpus([("myanmar met gambia today", "ramnaym tem aibmag yadot")])
         annotations = [[
-            _eligible_mention(["myanmar"], start=0),
             _eligible_mention(["gambia"], start=2),
+            _eligible_mention(["myanmar"], start=0),
         ]]
-        tagged, _ = tag_corpus(
+        tagged = tag(
             corpus, annotations, self._identity_links(corpus), TranslationTable({}),
             M.TAG, PLAIN_VOCAB,
         )
@@ -170,19 +177,20 @@ class TestTagCorpus:
         regions = extract_regions(src, PLAIN_VOCAB)
         assert regions == [["myanmar"], ["gambia"]]
         assert len(tagged[0].bundles) == 2
+        assert [b.src_span for b in tagged[0].bundles] == [[0, 1], [2, 3]]
 
     def test_hypernym_translation_is_all_or_nothing(self):
         corpus = make_corpus([("osaka grew", "akaso werg")])
         mention = EntityMention(0, 1, ["osaka"], "kb:O", ["port", "city"])
         partial = TranslationTable({"port": TableEntry("trop", 1, 1.0)})
-        tagged, _ = tag_corpus(
+        tagged = tag(
             corpus, [[mention]], self._identity_links(corpus), partial, M.HYPA, PLAIN_VOCAB
         )
         assert tagged[0].bundles[0].hypernym_tgt == ["port", "city"]  # source fallback
         full = TranslationTable({
             "port": TableEntry("trop", 1, 1.0), "city": TableEntry("ytic", 1, 1.0),
         })
-        tagged, _ = tag_corpus(
+        tagged = tag(
             corpus, [[mention]], self._identity_links(corpus), full, M.HYPA, PLAIN_VOCAB
         )
         assert tagged[0].bundles[0].hypernym_tgt == ["trop", "ytic"]
@@ -190,21 +198,35 @@ class TestTagCorpus:
     def test_length_mismatch(self):
         corpus = make_corpus([("a", "x")])
         with pytest.raises(LengthMismatch):
-            tag_corpus(corpus, [], [set()], TranslationTable({}), M.TAG, PLAIN_VOCAB)
+            select_bundles(corpus, [], [set()], TranslationTable({}))
         with pytest.raises(LengthMismatch):
-            tag_corpus(corpus, [[]], [], TranslationTable({}), M.TAG, PLAIN_VOCAB)
+            select_bundles(corpus, [[]], [], TranslationTable({}))
+
+    @pytest.mark.parametrize("mentions, problem", [
+        ([EntityMention(0, 2, ["the", "king"], "kb:K", ["ruler"]),
+          EntityMention(1, 3, ["king", "praised"], "kb:P", ["act"])], "overlaps"),
+        ([EntityMention(0, 50, ["zzz"], "kb:Z", ["thing"])], "does not fit"),
+        ([EntityMention(1, 2, ["queen"], "kb:Q", ["ruler"])], "does not fit"),
+        # an ineligible mention must fit as well
+        ([EntityMention(3, 7, ["border", ".", "x", "y"], "", None)], "does not fit"),
+    ])
+    def test_refuses_mentions_that_do_not_fit(self, mentions, problem):
+        corpus = make_corpus([("a b", "x y"), ("the king praised the border .", "x y z")])
+        corpus.pairs[1] = replace(corpus.pairs[1], line_no=4)
+        links = [set(), set()]
+        with pytest.raises(MalformedFile, match=rf"^line_no 4: mention .*{problem}"):
+            select_bundles(corpus, [[], mentions], links, TranslationTable({}))
 
     def test_method_parity_on_toy(self, toy_corpus, toy_annotations, toy_gold_alignments, toy_table):
+        selected = select_bundles(toy_corpus, toy_annotations, toy_gold_alignments, toy_table)
         tagged_sets = []
         for method in (M.BASELINE,) + TAGGED_METHODS:
-            tagged, stats = tag_corpus(
-                toy_corpus, toy_annotations, toy_gold_alignments, toy_table, method
-            )
+            tagged = tag_corpus(toy_corpus, selected, method)
             tagged_sets.append({
                 (tp.line_no, *b.src_span)
                 for tp in tagged for b in tp.bundles
             })
-            assert stats.tag_fraction == pytest.approx(0.25)
+            assert tagged_count(tagged) / len(tagged) == pytest.approx(0.25)
         assert all(s == tagged_sets[0] for s in tagged_sets[1:])
 
 
@@ -418,14 +440,12 @@ class TestVocabulary:
 class TestManifest:
     def test_write_read_round_trip(self, tmp_path, toy_corpus, toy_annotations,
                                    toy_gold_alignments, toy_table):
-        tagged, stats = tag_corpus(
-            toy_corpus, toy_annotations, toy_gold_alignments, toy_table, M.TRANSA
-        )
+        tagged = tag(toy_corpus, toy_annotations, toy_gold_alignments, toy_table, M.TRANSA)
         write_tagged(
             tagged, tmp_path / "t.src", tmp_path / "t.tgt", tmp_path / "t.jsonl", SPECIAL_VOCAB
         )
         entries = read_manifest(tmp_path / "t.jsonl")
-        assert len(entries) == stats.tagged_pairs
+        assert len(entries) == tagged_count(tagged) > 0
         by_line = {e.line_no: e for e in entries}
         for row, tp in enumerate(tagged):
             if not tp.bundles:
