@@ -9,7 +9,7 @@ suite (BLEU, copy accuracy, per-POS accuracy with significance tests).
 __version__ = "0.1.0"
 
 from .corpus import NormProfile, ParallelCorpus, SentencePair, read_parallel, split_holdout
-from .align import AlignModel, corpus_perplexity, symmetrize, train_alignment, viterbi_align
+from .align import AlignModel, corpus_perplexity, symmetrize_links, train_alignment, viterbi_align
 from .lexicon import TranslationTable, build_translation_table, translate_word
 from .link import EntityMention, Gazetteer, SpotlightClient, project_entity_span
 from .template import TagVocabulary, TemplateMethod, detag, select_bundles, tag_corpus
@@ -37,7 +37,7 @@ __all__ = [
     "select_bundles",
     "significance",
     "split_holdout",
-    "symmetrize",
+    "symmetrize_links",
     "tag_corpus",
     "train_alignment",
     "translate_word",

@@ -26,8 +26,10 @@ by shape (m, n) in sorted shape order, and each group is a (pairs, m, n+1)
 block of theta indices with NULL in the last column. An EM iteration is a
 gather of theta over the cells, a sum per emitted token and one
 ``np.bincount`` of the posteriors back onto theta; Viterbi is an argmax
-over the same blocks. numpy is imported only by the functions that
-compute, so reading and writing Pharaoh files does not load it.
+over the same blocks, and decoding returns one set of (src index, tgt
+index) links per pair, the type Pharaoh files hold. numpy is imported only
+by the functions that compute, so reading and writing Pharaoh files does
+not load it.
 
 File formats
 ------------
@@ -183,14 +185,6 @@ class AlignModel:
 
     def prob(self, e: str, f: str) -> float:
         return self.theta[e].get(f, 0.0) if e in self.theta else 0.0
-
-
-@dataclass
-class AlignmentVector:
-    """Per emitted position, the chosen conditioning position (None = NULL)."""
-
-    links: list[int | None]
-    n_conditioning: int
 
 
 def _sides(pair: SentencePair, direction: str):
@@ -407,9 +401,9 @@ def prune_model(model: AlignModel) -> AlignModel:
                       list(model.perplexity_history))
 
 
-def align_corpus(model: AlignModel, corpus: ParallelCorpus) -> list[AlignmentVector]:
+def align_corpus(model: AlignModel, corpus: ParallelCorpus) -> list[set[tuple[int, int]]]:
     """Viterbi decode of every pair (see :func:`viterbi_align`), batched
-    per sentence shape; vectors come back in corpus order."""
+    per sentence shape; link sets come back in corpus order."""
     import numpy as np
 
     for pair in corpus.pairs:
@@ -417,47 +411,39 @@ def align_corpus(model: AlignModel, corpus: ParallelCorpus) -> list[AlignmentVec
         if not cond or not emit:
             raise EmptyPair(f"pair at line {pair.line_no} has an empty side")
     cells = _Cells(corpus.pairs, model.direction, model.theta, model.tension, model.p0)
-    vectors: list = [None] * len(corpus.pairs)
+    link_sets: list = [None] * len(corpus.pairs)
+    forward = model.direction == FORWARD
     for _m, n, ids, block in cells.blocks(model.theta.probs):
         real = block[:, :, :n]
         best = real.max(axis=2)
         chosen = np.where((best > 0.0) & (best >= block[:, :, n]), real.argmax(axis=2), -1)
-        for k, links in zip(ids, chosen.tolist()):
-            vectors[k] = AlignmentVector([i if i >= 0 else None for i in links], n)
-    return vectors
+        for k, row in zip(ids, chosen.tolist()):
+            link_sets[k] = ({(i, j) for j, i in enumerate(row) if i >= 0} if forward
+                            else {(j, i) for j, i in enumerate(row) if i >= 0})
+    return link_sets
 
 
-def viterbi_align(model: AlignModel, pair: SentencePair) -> AlignmentVector:
-    """Best link per emitted position, decoded independently.
+def viterbi_align(model: AlignModel, pair: SentencePair) -> set[tuple[int, int]]:
+    """The (src index, tgt index) links of the best decode of one pair.
 
     Each emitted position takes the argmax of prior times lexical
     probability over NULL and all conditioning positions, with theta = 0
-    for unseen pairs. Exact ties prefer a real position over NULL and the
-    smaller position index; a word scoring zero everywhere stays NULL.
+    for unseen pairs, and links to the position it takes; NULL means no
+    link, so an emitted token has at most one. Exact ties prefer a real
+    position over NULL and the smaller position index; a word scoring zero
+    everywhere stays NULL.
     """
     return align_corpus(model, ParallelCorpus([pair]))[0]
 
 
-def vector_links(vec: AlignmentVector, direction: str) -> set[tuple[int, int]]:
-    """Convert a decode vector to (src index, tgt index) link pairs."""
-    if direction == FORWARD:
-        return {(i, j) for j, i in enumerate(vec.links) if i is not None}
-    return {(j, i) for j, i in enumerate(vec.links) if i is not None}
-
-
-def symmetrize(
-    fwd: AlignmentVector,
-    rev: AlignmentVector,
-    heuristic: str = "grow-diag-final-and",
-) -> set[tuple[int, int]]:
-    """Combine forward (src->tgt) and reverse (tgt->src) decodes of the same
-    sentence pair into one (src, tgt) link set."""
-    if len(fwd.links) != rev.n_conditioning or len(rev.links) != fwd.n_conditioning:
-        raise LengthMismatch(
-            f"forward decode covers {fwd.n_conditioning}x{len(fwd.links)} tokens, "
-            f"reverse covers {len(rev.links)}x{rev.n_conditioning}"
-        )
-    return symmetrize_links(vector_links(fwd, FORWARD), vector_links(rev, REVERSE), heuristic)
+def check_links(links, n_src: int, n_tgt: int, line_no: int) -> None:
+    """Raise LengthMismatch for a link outside a pair of ``n_src`` source
+    and ``n_tgt`` target tokens; ``line_no`` names the pair."""
+    for i, j in links:
+        if not (0 <= i < n_src and 0 <= j < n_tgt):
+            raise LengthMismatch(
+                f"line {line_no}: link {i}-{j} out of bounds for {n_src}x{n_tgt} tokens"
+            )
 
 
 def symmetrize_links(
@@ -465,7 +451,8 @@ def symmetrize_links(
     rev_links: set[tuple[int, int]],
     heuristic: str = "grow-diag-final-and",
 ) -> set[tuple[int, int]]:
-    """Same as :func:`symmetrize` but on (src, tgt) link sets directly."""
+    """Combine the forward (src->tgt) and reverse (tgt->src) link sets of
+    one sentence pair into one (src, tgt) link set."""
     if heuristic == "intersection":
         return fwd_links & rev_links
     if heuristic == "union":

@@ -14,6 +14,7 @@ import logging
 import operator
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import align, lexicon, link, metrics, template
@@ -60,6 +61,16 @@ def write_token_lines(rows, path) -> None:
             f.write(" ".join(row) + "\n")
 
 
+@contextmanager
+def _naming(path, error):
+    """Prefix ``path`` to an ``error`` raised in the block: the file at fault."""
+    try:
+        yield
+    except error as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # stages, shared by their subcommands and pipeline-run
 
@@ -97,8 +108,7 @@ def _train_and_save(corpus, params: AlignerParams, direction: str, path) -> alig
 
 
 def _decode_and_write(model: align.AlignModel, corpus, path) -> list[set[tuple[int, int]]]:
-    vectors = align.align_corpus(model, corpus)
-    links = [align.vector_links(v, model.direction) for v in vectors]
+    links = align.align_corpus(model, corpus)
     align.write_pharaoh(links, path)
     return links
 
@@ -195,7 +205,8 @@ def cmd_symmetrize(args) -> int:
 def cmd_lexicon_build(args) -> int:
     corpus = read_parallel(args.src, args.tgt, _profile(args))
     alignments = align.read_pharaoh(args.alignments)
-    table = _build_and_save_table(corpus, alignments, args.min_count, args.out)
+    with _naming(args.alignments, LengthMismatch):
+        table = _build_and_save_table(corpus, alignments, args.min_count, args.out)
     print(f"{len(table)} table entries")
     return 0
 
@@ -241,11 +252,8 @@ def cmd_tag_apply(args) -> int:
     annotations = [by_line.get(pair.line_no, []) for pair in corpus.pairs]
     alignments = align.read_pharaoh(args.alignments)
     table = lexicon.load_table(args.table)
-    try:
+    with _naming(args.annotations, MalformedFile), _naming(args.alignments, LengthMismatch):
         selected = template.select_bundles(corpus, annotations, alignments, table)
-    except MalformedFile as exc:
-        exc.args = (f"{args.annotations}: {exc}",)
-        raise
     tagged = template.tag_corpus(corpus, selected, method, vocab)
     template.write_tagged(tagged, args.out_src, args.out_tgt, args.manifest, vocab)
     stats = _tag_stats(selected)
@@ -325,22 +333,16 @@ def cmd_eval_pos(args) -> int:
     src = read_token_lines(args.src)
     if len(pos_tags) != len(src):
         raise CountMismatch(f"{args.pos} has {len(pos_tags)} rows but {args.src} has {len(src)}")
-    for k, (tags, tokens) in enumerate(zip(pos_tags, src)):
+    for k, (tags, tokens) in enumerate(zip(pos_tags, src), 1):
         if len(tags) != len(tokens):
             raise CountMismatch(
-                f"line {k}: {len(tags)} POS tags for {len(tokens)} source tokens"
+                f"{args.pos}:{k}: {len(tags)} POS tags for {len(tokens)} source tokens"
             )
     alignments = align.read_pharaoh(args.alignments)
-    report = metrics.pos_accuracy(
-        system_outputs,
-        baseline_outputs,
-        manifest,
-        pos_tags,
-        alignments,
-        references,
-        resamples=args.resamples,
-        seed=args.seed,
-    )
+    with _naming(args.manifest, MalformedFile), _naming(args.alignments, LengthMismatch):
+        report = metrics.pos_accuracy(system_outputs, baseline_outputs, manifest, pos_tags,
+                                      alignments, references, resamples=args.resamples,
+                                      seed=args.seed)
     print(metrics.format_pos_report(report))
     if args.out:
         metrics.write_pos_tsv(report, args.out)

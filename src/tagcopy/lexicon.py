@@ -3,6 +3,7 @@
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
+from .align import check_links
 from .corpus import ParallelCorpus, TokenSeq, read_records
 from .errors import LengthMismatch
 
@@ -45,12 +46,8 @@ def build_translation_table(
     tgt_freq: Counter = Counter()
     for pair, links in zip(corpus.pairs, alignments):
         tgt_freq.update(pair.tgt)
+        check_links(links, len(pair.src), len(pair.tgt), pair.line_no)
         for i, j in links:
-            if i >= len(pair.src) or j >= len(pair.tgt) or i < 0 or j < 0:
-                raise LengthMismatch(
-                    f"line {pair.line_no}: link {i}-{j} out of bounds for "
-                    f"{len(pair.src)}x{len(pair.tgt)} tokens"
-                )
             pair_counts[pair.src[i]][pair.tgt[j]] += 1
 
     entries: dict[str, TableEntry] = {}

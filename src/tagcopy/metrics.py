@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .corpus import TokenSeq
-from .errors import CountMismatch, EmptyCorpus, EmptyInput, InvalidParams, LengthMismatch
+from .align import check_links
+from .errors import CountMismatch, EmptyCorpus, EmptyInput, InvalidParams, MalformedFile
 from .template import METHODS, ManifestEntry, TemplateMethod, extract_regions, split_region
 
 # the bundle field each scored component appears as in undelimited output
@@ -41,6 +42,8 @@ def bleu(hypotheses, references, max_n: int = 4, subset=None) -> BleuScore:
     the given line indices, which is how tag-only evaluation works; an index
     outside the corpus raises CountMismatch.
     """
+    if max_n < 1:
+        raise InvalidParams(f"max_n must be >= 1, got {max_n}")
     if len(hypotheses) != len(references):
         raise CountMismatch(
             f"{len(hypotheses)} hypotheses vs {len(references)} references"
@@ -262,15 +265,12 @@ def pos_accuracy(
     found in that system's detagged output; each output occurrence is
     consumed at most once, scanning source tokens left to right. Rows pair
     the system against the baseline and carry a randomization p-value.
+
+    A ``src_span`` past its POS row raises MalformedFile, and a link outside
+    the POS row or the reference raises LengthMismatch.
     """
-    sizes = {
-        len(system_outputs),
-        len(baseline_outputs),
-        len(pos_tags),
-        len(alignments),
-        len(references),
-    }
-    if len(sizes) != 1:
+    inputs = (system_outputs, baseline_outputs, pos_tags, alignments, references)
+    if len(set(map(len, inputs))) != 1:
         raise CountMismatch(
             "line-parallel inputs differ in length: "
             f"system={len(system_outputs)}, baseline={len(baseline_outputs)}, "
@@ -283,17 +283,21 @@ def pos_accuracy(
             raise CountMismatch(f"manifest row {ln} outside the {len(references)} input lines")
         if not entry.bundles:
             continue
+        pos_row = pos_tags[ln]
+        ref = references[ln]
         spans = [tuple(b.src_span) for b in entry.bundles]
         first_start = min(s for s, _ in spans)
         inside = set()
         for s, e in spans:
+            if e > len(pos_row):
+                raise MalformedFile(
+                    f"manifest row {ln}: src_span [{s}, {e}) ends past the "
+                    f"{len(pos_row)} source tokens"
+                )
             inside.update(range(s, e))
-        pos_row = pos_tags[ln]
-        ref = references[ln]
+        check_links(alignments[ln], len(pos_row), len(ref), ln)
         ref_of: dict[int, list[int]] = defaultdict(list)
         for i, j in alignments[ln]:
-            if not (0 <= j < len(ref)):
-                raise LengthMismatch(f"line {ln}: link {i}-{j} outside the reference")
             ref_of[i].append(j)
         sys_used = [False] * len(system_outputs[ln])
         base_used = [False] * len(baseline_outputs[ln])

@@ -115,3 +115,11 @@ def viterbi(theta, tension, p0, direction, pair):
                 best, best_i = s, i
         links.append(best_i if best > 0.0 and best >= null_score else None)
     return links
+
+
+def links(choices, direction):
+    """The (src, tgt) link set of per-emitted-position choices, as the
+    array aligner decodes them: a NULL choice gives no link."""
+    if direction == FORWARD:
+        return {(i, j) for j, i in enumerate(choices) if i is not None}
+    return {(j, i) for j, i in enumerate(choices) if i is not None}

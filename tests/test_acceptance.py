@@ -17,7 +17,6 @@ from tagcopy.align import (
     REVERSE,
     align_corpus,
     train_alignment,
-    vector_links,
 )
 from tagcopy.corpus import ParallelCorpus, SentencePair
 from tagcopy.link import SpotlightClient
@@ -71,8 +70,8 @@ def test_criterion_01_aligner_recovery():
         started = time.perf_counter()
         fwd = train_alignment(corpus, iterations=5, direction=FORWARD)
         rev = train_alignment(corpus, iterations=5, direction=REVERSE)
-        fwd_sets = [vector_links(v, FORWARD) for v in align_corpus(fwd, corpus)]
-        rev_sets = [vector_links(v, REVERSE) for v in align_corpus(rev, corpus)]
+        fwd_sets = align_corpus(fwd, corpus)
+        rev_sets = align_corpus(rev, corpus)
         elapsed = time.perf_counter() - started
         recovered = sum(len((f & r) & g) for f, r, g in zip(fwd_sets, rev_sets, gold))
         total = sum(len(g) for g in gold)

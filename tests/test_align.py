@@ -16,19 +16,17 @@ from tagcopy.align import (
     NULL_WORD,
     PRUNE_RATIO,
     REVERSE,
-    AlignmentVector,
     AlignModel,
     align_corpus,
+    check_links,
     corpus_perplexity,
     _digamma,
     load_model,
     prune_model,
     read_pharaoh,
     save_model,
-    symmetrize,
     symmetrize_links,
     train_alignment,
-    vector_links,
     viterbi_align,
     write_pharaoh,
 )
@@ -213,21 +211,18 @@ class TestViterbi:
     def test_prefers_lexical_link_over_null(self):
         model = AlignModel({"a": {"x": 0.9}, NULL_WORD: {"x": 0.1}}, tension=4.0, p0=0.08)
         corpus = make_corpus([("a", "x")])
-        vec = viterbi_align(model, corpus.pairs[0])
-        assert vec.links == [0]
+        assert viterbi_align(model, corpus.pairs[0]) == {(0, 0)}
 
     def test_exact_tie_picks_smaller_position(self):
         # tension 0 makes the prior uniform, so equal theta means equal scores
         model = AlignModel(
             {"a": {"x": 0.5}, "b": {"x": 0.5}, NULL_WORD: {"x": 0.01}}, tension=0.0, p0=0.1
         )
-        vec = viterbi_align(model, make_corpus([("a b", "x")]).pairs[0])
-        assert vec.links == [0]
+        assert viterbi_align(model, make_corpus([("a b", "x")]).pairs[0]) == {(0, 0)}
 
     def test_unseen_everywhere_falls_back_to_null(self):
         model = AlignModel({"a": {"y": 1.0}, NULL_WORD: {"y": 1.0}}, tension=4.0, p0=0.08)
-        vec = viterbi_align(model, make_corpus([("a", "x")]).pairs[0])
-        assert vec.links == [None]
+        assert viterbi_align(model, make_corpus([("a", "x")]).pairs[0]) == set()
 
     def test_empty_pair(self):
         from tagcopy.corpus import SentencePair
@@ -250,34 +245,27 @@ class TestViterbi:
             ).pairs[0]
             first = viterbi_align(model, pair)
             second = viterbi_align(model, pair)
-            assert first.links == second.links
-            assert all(link is None or 0 <= link < n for link in first.links)
-
-
-def _vec(links, n_conditioning):
-    return AlignmentVector(links, n_conditioning)
+            assert first == second
+            assert all(0 <= i < n and 0 <= j < m for i, j in first)
+            assert len({j for _, j in first}) == len(first)  # one link per emitted token
 
 
 class TestSymmetrize:
-    def test_intersection_of_identical_vectors(self):
-        fwd = _vec([0, 1], 2)
-        rev = _vec([0, 1], 2)
-        assert symmetrize(fwd, rev, "intersection") == {(0, 0), (1, 1)}
+    def test_intersection_of_identical_link_sets(self):
+        links = {(0, 0), (1, 1)}
+        assert symmetrize_links(links, set(links), "intersection") == {(0, 0), (1, 1)}
 
     def test_union(self):
-        fwd = _vec([0, None], 1)  # src->tgt: tgt0 -> src0
-        rev = _vec([1], 2)  # tgt->src: src0 -> tgt1
-        assert symmetrize(fwd, rev, "union") == {(0, 0), (0, 1)}
+        fwd = {(0, 0)}  # src->tgt: tgt0 -> src0, tgt1 -> NULL
+        rev = {(0, 1)}  # tgt->src: src0 -> tgt1
+        assert symmetrize_links(fwd, rev, "union") == {(0, 0), (0, 1)}
 
     def test_grow_diag_final_and_grows_along_diagonal(self):
-        # fwd links {0-0, 1-1}; rev links {0-0, 2-1}: the union link 2-1 is
-        # 8-adjacent to 1-1 and its source side is uncovered, so grow-diag
-        # adopts it after the diagonal step
-        fwd = _vec([0, 1], 3)
-        rev = _vec([0, None, 1], 2)
-        assert vector_links(fwd, FORWARD) == {(0, 0), (1, 1)}
-        assert vector_links(rev, REVERSE) == {(0, 0), (2, 1)}
-        assert symmetrize(fwd, rev, "grow-diag-final-and") == {(0, 0), (1, 1), (2, 1)}
+        # the union link 2-1 is 8-adjacent to 1-1 and its source side is
+        # uncovered, so grow-diag adopts it after the diagonal step
+        fwd = {(0, 0), (1, 1)}
+        rev = {(0, 0), (2, 1)}
+        assert symmetrize_links(fwd, rev, "grow-diag-final-and") == {(0, 0), (1, 1), (2, 1)}
 
     def test_final_and_requires_both_ends_free(self):
         # isolated union link far from the intersection: adopted only while
@@ -288,10 +276,6 @@ class TestSymmetrize:
         rev_taken = {(0, 0), (3, 2)}
         out = symmetrize_links(fwd, rev_taken, "grow-diag-final-and")
         assert (3, 3) not in out or (3, 2) not in out
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            symmetrize(_vec([0], 2), _vec([0], 2), "intersection")
 
     def test_unknown_heuristic(self):
         with pytest.raises(InvalidParams):
@@ -318,6 +302,18 @@ class TestSymmetrize:
         gdfa = symmetrize_links(fwd, rev, "grow-diag-final-and")
         union = symmetrize_links(fwd, rev, "union")
         assert inter <= gdfa <= union
+
+
+class TestCheckLinks:
+    def test_links_inside_the_pair_pass(self):
+        check_links({(0, 0), (1, 2)}, 2, 3, 0)
+        check_links(set(), 0, 0, 0)
+
+    @pytest.mark.parametrize("link", [(2, 0), (0, 3), (-1, 0), (0, -1)])
+    def test_link_outside_the_pair(self, link):
+        i, j = link
+        with pytest.raises(LengthMismatch, match=f"line 5: link {i}-{j} out of bounds for 2x3"):
+            check_links({(0, 0), link}, 2, 3, 5)
 
 
 class TestPerplexity:
@@ -407,8 +403,8 @@ class TestBidirectionalDecoding:
     def test_alignments_agree_on_easy_corpus(self, toy_corpus):
         fwd_model = train_alignment(toy_corpus, iterations=3, direction=FORWARD)
         rev_model = train_alignment(toy_corpus, iterations=3, direction=REVERSE)
-        fwd_sets = [vector_links(v, FORWARD) for v in align_corpus(fwd_model, toy_corpus)]
-        rev_sets = [vector_links(v, REVERSE) for v in align_corpus(rev_model, toy_corpus)]
+        fwd_sets = align_corpus(fwd_model, toy_corpus)
+        rev_sets = align_corpus(rev_model, toy_corpus)
         agree = sum(
             len(f & r) for f, r in zip(fwd_sets, rev_sets)
         ) / sum(len(p.src) for p in toy_corpus.pairs)
@@ -475,8 +471,7 @@ class TestPruning:
     def test_viterbi_links_unchanged(self, models, toy_corpus):
         for model in models.values():
             before = align_corpus(model, toy_corpus)
-            after = align_corpus(prune_model(model), toy_corpus)
-            assert [v.links for v in after] == [v.links for v in before]
+            assert align_corpus(prune_model(model), toy_corpus) == before
 
     def test_dump_reloads_to_the_pruned_model(self, models, tmp_path):
         for name, model in models.items():

@@ -20,13 +20,11 @@ from tagcopy.align import (
     FORWARD,
     NULL_WORD,
     REVERSE,
-    AlignmentVector,
     AlignModel,
     align_corpus,
     load_model,
     save_model,
     train_alignment,
-    vector_links,
     write_pharaoh,
 )
 
@@ -72,6 +70,19 @@ def _score(model, prior_row, cond, f, i):
     return prior_row[i] * model.prob(cond[i], f)
 
 
+def _chosen(links, direction):
+    """Emitted position -> conditioning position, per link of a link set."""
+    if direction == FORWARD:
+        return {j: i for i, j in links}
+    return dict(links)
+
+
+def _assert_fits(pair, links, direction):
+    """Every link lies inside its pair, at most one per emitted token."""
+    assert all(0 <= i < len(pair.src) and 0 <= j < len(pair.tgt) for i, j in links)
+    assert len(_chosen(links, direction)) == len(links)
+
+
 def _check_parity(corpus, tmp_path, exact=True, **kwargs):
     """Theta and perplexity within tolerance in both directions. Every
     decode that differs from the reference's must be a tie flip: its two
@@ -87,17 +98,19 @@ def _check_parity(corpus, tmp_path, exact=True, **kwargs):
             assert got == pytest.approx(want, rel=PERPLEXITY_REL)
 
         ours, ref, flips = [], [], 0
-        for pair, vec in zip(corpus.pairs, align_corpus(model, corpus)):
+        for pair, links in zip(corpus.pairs, align_corpus(model, corpus)):
             want = dict_aligner.viterbi(ref_theta, tension, p0, direction, pair)
             cond, emit = dict_aligner.sides(pair, direction)
             prior = dict_aligner.prior_rows(len(emit), len(cond), tension, p0)
-            for j, (a, b) in enumerate(zip(vec.links, want)):
+            chosen = _chosen(links, direction)
+            for j, b in enumerate(want):
+                a = chosen.get(j)
                 if a != b:
                     flips += 1
                     assert _score(model, prior[j], cond, emit[j], a) == pytest.approx(
                         _score(model, prior[j], cond, emit[j], b), rel=1e-12)
-            ours.append(vector_links(vec, direction))
-            ref.append(vector_links(AlignmentVector(want, len(cond)), direction))
+            ours.append(links)
+            ref.append(dict_aligner.links(want, direction))
         print(f"{direction}: {flips} tie flips against the dict reference")
         if exact:
             assert flips == 0
@@ -183,33 +196,52 @@ def test_rows_normalized_after_every_m_step(pairs, iterations, tension, p0):
 # few distinct probabilities, so exact ties between positions and with NULL
 # are common
 probabilities = st.sampled_from([0.0, 0.25, 0.5, 1.0])
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    theta=st.fixed_dictionaries({
+TIE_CASES = {
+    "theta": st.fixed_dictionaries({
         e: st.fixed_dictionaries({f: probabilities for f in WORDS_F})
         for e in [NULL_WORD, *WORDS_E]
     }),
-    pairs=st.lists(sentences, min_size=1, max_size=4),
-    tension=st.sampled_from([0.0, 4.0]),
-    p0=st.sampled_from([0.0, 0.5, 0.08]),
-)
+    "pairs": st.lists(sentences, min_size=1, max_size=4),
+    "tension": st.sampled_from([0.0, 4.0]),
+    "p0": st.sampled_from([0.0, 0.5, 0.08]),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(**TIE_CASES)
 def test_viterbi_tie_rule(theta, pairs, tension, p0):
     """A real position beats NULL on a tie, and the lower index wins."""
     model = AlignModel(theta, tension, p0)
     corpus = make_corpus([(" ".join(s), " ".join(t)) for s, t in pairs])
-    for pair, vec in zip(corpus.pairs, align_corpus(model, corpus)):
+    for pair, links in zip(corpus.pairs, align_corpus(model, corpus)):
+        chosen = _chosen(links, FORWARD)
         prior = dict_aligner.prior_rows(len(pair.tgt), len(pair.src), tension, p0)
         for j, f in enumerate(pair.tgt):
             scores = [prior[j][i] * theta[e][f] for i, e in enumerate(pair.src)]
             best = max(scores)
             null = p0 * theta[NULL_WORD][f]
             if best > 0.0 and best >= null:
-                assert vec.links[j] == scores.index(best)
+                assert chosen.get(j) == scores.index(best)
             else:
-                assert vec.links[j] is None
-        assert vec.links == dict_aligner.viterbi(theta, tension, p0, FORWARD, pair)
+                assert j not in chosen
+        want = dict_aligner.viterbi(theta, tension, p0, FORWARD, pair)
+        assert links == dict_aligner.links(want, FORWARD)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**TIE_CASES, direction=st.sampled_from([FORWARD, REVERSE]))
+def test_decoded_links_fit_their_pairs(theta, pairs, tension, p0, direction):
+    """Each emitted token gets at most one link, and every link lies inside
+    its pair, in both directions."""
+    model = AlignModel(theta, tension, p0, direction)
+    # theta conditions on WORDS_E, so they go on the conditioning side
+    if direction == REVERSE:
+        pairs = [(t, s) for s, t in pairs]
+    corpus = make_corpus([(" ".join(s), " ".join(t)) for s, t in pairs])
+    link_sets = align_corpus(model, corpus)
+    assert len(link_sets) == len(corpus.pairs)
+    for pair, links in zip(corpus.pairs, link_sets):
+        _assert_fits(pair, links, direction)
 
 
 def test_train_and_align_smoke(benchmark):
@@ -221,5 +253,7 @@ def test_train_and_align_smoke(benchmark):
         model = train_alignment(corpus, iterations=5)
         return align_corpus(model, corpus)
 
-    vectors = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert [len(v.links) for v in vectors] == [len(p.tgt) for p in corpus.pairs]
+    link_sets = benchmark.pedantic(run, rounds=1, iterations=1)
+    assert len(link_sets) == len(corpus.pairs)
+    for pair, links in zip(corpus.pairs, link_sets):
+        _assert_fits(pair, links, FORWARD)

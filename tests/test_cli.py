@@ -62,6 +62,18 @@ def prepared(tmp_path, toy_dir):
     return {"annotations": ann, "alignments": toy_dir / "gold.align", "table": table}
 
 
+def add_link(alignments, out, line, link):
+    """Copy a Pharaoh file, adding ``link`` to its 0-based row ``line``."""
+    rows = alignments.read_text(encoding="utf-8").splitlines()
+    rows[line] += f" {link}"
+    out.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+    return out
+
+
+# links past the target and past the source side of the toy's 6x6 first pair
+OUTSIDE = ["0-9", "9-0"]
+
+
 class TestSplit:
     def test_writes_three_splits(self, tmp_path, toy_dir):
         outdir = tmp_path / "splits"
@@ -140,6 +152,16 @@ class TestAlignChain:
         trained = align.train_alignment(toy_corpus)
         assert align.load_model(model_path).theta == align.prune_model(trained).theta
         assert align.load_model(model_path).theta != trained.theta
+
+    @pytest.mark.parametrize("link", OUTSIDE)
+    def test_lexicon_build_names_the_alignments(self, tmp_path, toy_dir, capsys, link):
+        bad = add_link(toy_dir / "gold.align", tmp_path / "bad.align", 0, link)
+        assert cli.main(["lexicon-build", "--src", str(toy_dir / "src.en"),
+                         "--tgt", str(toy_dir / "tgt.zz"), "--alignments", str(bad),
+                         "--out", str(tmp_path / "table.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: line 0: link {link} out of bounds for 6x6 tokens" in err
+        assert not (tmp_path / "table.tsv").exists()
 
     def test_symmetrize_row_count_mismatch(self, tmp_path):
         (tmp_path / "f").write_text("0-0\n", encoding="utf-8")
@@ -317,6 +339,16 @@ class TestTagApply:
         assert "tagged 50/200 pairs (fraction 0.2500)" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("link", OUTSIDE)
+    def test_refuses_a_link_outside_its_pair(self, tmp_path, toy_dir, prepared, capsys, link):
+        bad = add_link(prepared["alignments"], tmp_path / "bad.align", 0, link)
+        rc, out_src, *_ = self._tag(tmp_path, toy_dir, {**prepared, "alignments": bad}, "tag")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: line 0: link {link} out of bounds for 6x6 tokens" in err
+        assert "Traceback" not in err
+        assert not out_src.exists()
+
     def test_refuses_a_reserved_tag_token(self, tmp_path, toy_dir, prepared, capsys):
         src, tgt, ann = tmp_path / "in.en", tmp_path / "in.zz", tmp_path / "in.jsonl"
         lines = ["the river crossed .", "see <special2> myanmar <special5> ."]
@@ -402,6 +434,17 @@ class TestEvalCommands:
         assert rc == 2
         assert "--manifest" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("max_n", ["0", "-1"])
+    def test_bleu_max_n_below_one_exits_2(self, toy_dir, capsys, max_n):
+        rc = cli.main([
+            "eval-bleu", "--hyp", str(toy_dir / "tgt.zz"), "--ref", str(toy_dir / "tgt.zz"),
+            "--max-n", max_n,
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"max_n must be >= 1, got {max_n}" in err
+        assert "Traceback" not in err
+
     def test_bleu_tag_only_subset(self, tmp_path, toy_dir, prepared, capsys):
         tagger = TestTagApply()
         _, _, _, manifest = tagger._tag(tmp_path, toy_dir, prepared, "tag")
@@ -475,7 +518,43 @@ class TestEvalCommands:
             "--src", str(toy_dir / "src.en"),
         ])
         assert rc == 2
-        assert "POS tags" in capsys.readouterr().err
+        assert f"{bad_pos}:1: 1 POS tags for 6 source tokens" in capsys.readouterr().err
+
+    def _eval_pos(self, toy_dir, manifest, alignments):
+        return cli.main([
+            "eval-pos",
+            "--system", str(toy_dir / "tgt.zz"), "--baseline", str(toy_dir / "tgt.zz"),
+            "--manifest", str(manifest), "--pos", str(toy_dir / "pos.en"),
+            "--alignments", str(alignments), "--ref", str(toy_dir / "tgt.zz"),
+            "--src", str(toy_dir / "src.en"), "--resamples", "50",
+        ])
+
+    @pytest.mark.parametrize("side", ["source", "reference"])
+    def test_eval_pos_refuses_a_link_past_its_line(self, tmp_path, toy_dir, prepared, capsys,
+                                                   side):
+        _, _, _, manifest = TestTagApply()._tag(tmp_path, toy_dir, prepared, "tag")
+        ln = read_manifest(manifest)[0].line_no
+        n = len((toy_dir / "pos.en").read_text(encoding="utf-8").splitlines()[ln].split())
+        link = f"{n}-0" if side == "source" else f"0-{n}"
+        bad = add_link(toy_dir / "gold.align", tmp_path / "bad.align", ln, link)
+        capsys.readouterr()
+        assert self._eval_pos(toy_dir, manifest, bad) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: line {ln}: link {link} out of bounds for {n}x{n} tokens" in err
+        assert "Traceback" not in err
+
+    def test_eval_pos_refuses_a_span_past_its_line(self, tmp_path, toy_dir, prepared, capsys):
+        _, _, _, manifest = TestTagApply()._tag(tmp_path, toy_dir, prepared, "tag")
+        records = [json.loads(line) for line in manifest.read_text(encoding="utf-8").splitlines()]
+        records[0]["bundles"][0]["src_span"] = [40, 50]
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        ln = records[0]["line_no"]
+        n = len((toy_dir / "pos.en").read_text(encoding="utf-8").splitlines()[ln].split())
+        capsys.readouterr()
+        assert self._eval_pos(toy_dir, manifest, toy_dir / "gold.align") == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}: manifest row {ln}: src_span [40, 50) ends past the {n}" in err
+        assert "Traceback" not in err
 
 
 class TestImperfectModelOutput:
@@ -542,6 +621,11 @@ class TestPipelineRun:
     # sha256 of the toy run's annotations and tagged files; a change to how
     # tagging is organised must leave every one of them as it is
     TOY_DIGESTS = {
+        # the toy corpus is word-for-word, so the three alignments are equal
+        "align/fwd.align": "ab1582644e1c77c1d12d7de5edecc8c32979f69e5334b2e93a223ea08b8e2b09",
+        "align/rev.align": "ab1582644e1c77c1d12d7de5edecc8c32979f69e5334b2e93a223ea08b8e2b09",
+        "align/sym.align": "ab1582644e1c77c1d12d7de5edecc8c32979f69e5334b2e93a223ea08b8e2b09",
+        "lexicon/table.tsv": "269eef149d195b06226dc025ff0f00a648cc6a553ea2314259a3042f97e6b97d",
         "link/annotations.jsonl": "ab0d505af54f12636506394ef47323874f62a86a753a1649fd62f6f5b3f647f7",
         "tagged/add.manifest.jsonl": "439076591af4333460294c7d0f8e3b42de985904f8673c723b10c1e534c48824",
         "tagged/add.src": "179adf48e9ade2459ef84641aa2b52c7f527832824aa542044a80927e8b50f17",
@@ -841,8 +925,7 @@ class TestConfig:
         train = defaults(align.train_alignment)
         for name in ("iterations", "tension", "p0", "vb", "alpha"):
             assert train[name] == getattr(AlignerParams, name), name
-        for fn in (align.symmetrize, align.symmetrize_links):
-            assert defaults(fn)["heuristic"] == AlignerParams.heuristic
+        assert defaults(align.symmetrize_links)["heuristic"] == AlignerParams.heuristic
         assert defaults(link.SpotlightClient)["confidence"] == LinkerParams.confidence
         assert defaults(lexicon.build_translation_table)["min_count"] == PipelineConfig.min_count
         for fn in (template.render_source_template, template.render_target_template,

@@ -9,6 +9,8 @@ from tagcopy.errors import (
     EmptyCorpus,
     EmptyInput,
     InvalidParams,
+    LengthMismatch,
+    MalformedFile,
 )
 from tagcopy.metrics import (
     bleu,
@@ -115,6 +117,11 @@ class TestBleu:
             bleu([], [])
         with pytest.raises(EmptyCorpus):
             bleu(HYPS, REFS, subset=set())
+
+    @pytest.mark.parametrize("max_n", [0, -2])
+    def test_max_n_below_one(self, max_n):
+        with pytest.raises(InvalidParams, match=f"max_n must be >= 1, got {max_n}"):
+            bleu(HYPS, REFS, max_n=max_n)
 
     @pytest.mark.parametrize("bad", [3, 99, -1])
     def test_subset_line_out_of_range(self, bad):
@@ -328,6 +335,20 @@ class TestPosAccuracy:
     def test_input_length_mismatch(self):
         with pytest.raises(CountMismatch):
             pos_accuracy([["a"]], [["a"], ["b"]], [], [["N"]], [set()], [["a"]])
+
+    @pytest.mark.parametrize("link", [(3, 0), (0, 3)])
+    def test_link_outside_the_line(self, link):
+        # a source index past the POS row, or a reference index past the reference
+        out = [["bon", "mot", "X"]]
+        with pytest.raises(LengthMismatch, match=f"^line 0: link {link[0]}-{link[1]} "):
+            pos_accuracy(out, out, [_pos_entry(0, [(2, 3)])], [["ADJ", "ADJ", "PROPN"]],
+                         [{(0, 0), link}], out, resamples=10)
+
+    def test_span_past_the_pos_row(self):
+        out = [["bon", "mot", "X"]]
+        with pytest.raises(MalformedFile, match=r"^manifest row 0: src_span \[2, 4\) ends past"):
+            pos_accuracy(out, out, [_pos_entry(0, [(2, 4)])], [["ADJ", "ADJ", "PROPN"]],
+                         [{(0, 0)}], out, resamples=10)
 
     def test_report_writers(self, tmp_path):
         pos_tags = [["ADJ", "ADJ", "PROPN"]]

@@ -217,6 +217,15 @@ class TestTagCorpus:
         with pytest.raises(MalformedFile, match=rf"^line_no 4: mention .*{problem}"):
             select_bundles(corpus, [[], mentions], links, TranslationTable({}))
 
+    @pytest.mark.parametrize("link", [(1, 9), (7, 1)])
+    def test_refuses_a_link_outside_its_pair(self, link):
+        corpus = make_corpus([("a b", "x y"), ("the port city", "eht trop ytic")])
+        corpus.pairs[1] = replace(corpus.pairs[1], line_no=4)
+        mention = EntityMention(1, 2, ["port"], "kb:P", ["place"])
+        links = [set(), {(0, 0), (1, 1), (2, 2), link}]
+        with pytest.raises(LengthMismatch, match=f"^line 4: link {link[0]}-{link[1]} "):
+            select_bundles(corpus, [[], [mention]], links, TranslationTable({}))
+
     def test_method_parity_on_toy(self, toy_corpus, toy_annotations, toy_gold_alignments, toy_table):
         selected = select_bundles(toy_corpus, toy_annotations, toy_gold_alignments, toy_table)
         tagged_sets = []
