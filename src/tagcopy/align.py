@@ -43,7 +43,6 @@ of the row's maximum, and the NULL row stays whole.
 
 import math
 from array import array
-from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -87,28 +86,24 @@ def _ids(vocab: list[str]) -> dict[str, int]:
 
 
 class Theta(Mapping):
-    """The lexical table as flat arrays, readable as ``theta[e][f]``.
+    """The lexical table as flat arrays.
 
     ``cond`` and ``emit`` are the sorted conditioning and emitted
     vocabularies; a token's id is its position. Entry k pairs
     ``cond[pair_keys[k] // len(emit)]`` with ``emit[pair_keys[k] %
     len(emit)]`` and has probability ``probs[k]`` (float64); ``pair_keys``
-    (int64) is strictly ascending. The mapping view is read-only: training
+    (int64) is strictly ascending. As a mapping, ``theta[e]`` builds row e
+    as a new ``f -> probability`` dict from the arrays, in f order; training
     updates ``probs`` in place.
     """
 
     def __init__(self, cond: list[str], emit: list[str], pair_keys, probs):
-        import numpy as np
-
         self.cond = cond
         self.emit = emit
         self.pair_keys = pair_keys
         self.probs = probs
         self.cond_id = _ids(cond)
         self.emit_id = _ids(emit)
-        # the entries of row r are [row_start[r], row_start[r + 1])
-        bounds = np.arange(len(cond) + 1) * len(emit)
-        self.row_start = np.searchsorted(pair_keys, bounds).tolist()
 
     @classmethod
     def from_rows(cls, rows: Mapping) -> "Theta":
@@ -125,8 +120,11 @@ class Theta(Mapping):
                 values.append(p)
         return cls(cond, emit, np.array(keys, dtype=np.int64), np.array(values, dtype=np.float64))
 
-    def __getitem__(self, e: str) -> "_Row":
-        return _Row(self, self.cond_id[e])
+    def __getitem__(self, e: str) -> dict[str, float]:
+        base = self.cond_id[e] * len(self.emit)
+        lo, hi = self.pair_keys.searchsorted([base, base + len(self.emit)]).tolist()
+        cols = (self.pair_keys[lo:hi] - base).tolist()
+        return dict(zip(map(self.emit.__getitem__, cols), self.probs[lo:hi].tolist()))
 
     def __iter__(self):
         return iter(self.cond)
@@ -135,42 +133,15 @@ class Theta(Mapping):
         return len(self.cond)
 
 
-class _Row(Mapping):
-    """Read-only ``f -> probability`` view of one theta row."""
-
-    def __init__(self, theta: Theta, r: int):
-        self._theta = theta
-        self._lo = theta.row_start[r]
-        self._hi = theta.row_start[r + 1]
-        self._base = r * len(theta.emit)
-
-    def __getitem__(self, f: str) -> float:
-        t = self._theta
-        c = t.emit_id.get(f)
-        if c is not None:
-            key = self._base + c
-            k = bisect_left(t.pair_keys, key, self._lo, self._hi)
-            if k < self._hi and t.pair_keys[k] == key:
-                return float(t.probs[k])
-        raise KeyError(f)
-
-    def __iter__(self):
-        emit = self._theta.emit
-        return (emit[k - self._base] for k in self._theta.pair_keys[self._lo:self._hi].tolist())
-
-    def __len__(self) -> int:
-        return self._hi - self._lo
-
-
 @dataclass
 class AlignModel:
     """Lexical table plus the two prior hyperparameters.
 
-    ``theta[e][f]`` is the probability of emitting f conditioned on e; a
-    plain ``e -> {f: p}`` mapping passed in is converted to a
-    :class:`Theta`. ``perplexity_history`` holds the training perplexity
-    observed at the start of each EM iteration (i.e. under the parameters
-    entering it).
+    ``theta[e][f]`` is the probability of emitting f conditioned on e,
+    read through the row dict :class:`Theta` builds on each lookup; a plain
+    ``e -> {f: p}`` mapping passed in is converted to a :class:`Theta`.
+    ``perplexity_history`` holds the training perplexity observed at the
+    start of each EM iteration (i.e. under the parameters entering it).
     """
 
     theta: Theta
@@ -184,7 +155,7 @@ class AlignModel:
             self.theta = Theta.from_rows(self.theta)
 
     def prob(self, e: str, f: str) -> float:
-        return self.theta[e].get(f, 0.0) if e in self.theta else 0.0
+        return self.theta.get(e, {}).get(f, 0.0)
 
 
 def _sides(pair: SentencePair, direction: str):
@@ -436,13 +407,14 @@ def viterbi_align(model: AlignModel, pair: SentencePair) -> set[tuple[int, int]]
     return align_corpus(model, ParallelCorpus([pair]))[0]
 
 
-def check_links(links, n_src: int, n_tgt: int, line_no: int) -> None:
+def check_links(links, n_src: int, n_tgt: int, row: int) -> None:
     """Raise LengthMismatch for a link outside a pair of ``n_src`` source
-    and ``n_tgt`` target tokens; ``line_no`` names the pair."""
+    and ``n_tgt`` target tokens; the message names the 0-based alignment
+    ``row`` as its 1-based line of the alignments file."""
     for i, j in links:
         if not (0 <= i < n_src and 0 <= j < n_tgt):
             raise LengthMismatch(
-                f"line {line_no}: link {i}-{j} out of bounds for {n_src}x{n_tgt} tokens"
+                f"line {row + 1}: link {i}-{j} out of bounds for {n_src}x{n_tgt} tokens"
             )
 
 

@@ -152,8 +152,15 @@ def _annotate_and_write(src_path, profile, linker: LinkerParams, resolver, path)
     return by_line
 
 
-def _tag_stats(selected) -> dict:
-    """Pair counts of one selection; every method renders the same one."""
+def _tag_and_write(corpus, by_line: dict, alignments, table, vocab, outputs: dict) -> dict:
+    """Join the annotations ``by_line`` to the pairs by line_no, select the
+    bundles once, and render and write each method to its ``outputs[method]``
+    (src, tgt, manifest) paths. Returns the pair counts of the selection,
+    which every method renders."""
+    annotations = [by_line.get(pair.line_no, []) for pair in corpus.pairs]
+    selected = template.select_bundles(corpus, annotations, alignments, table)
+    for method, paths in outputs.items():
+        template.write_tagged(template.tag_corpus(corpus, selected, method, vocab), *paths, vocab)
     total = len(selected)
     tagged = sum(1 for bundles in selected if bundles)
     return {"total_pairs": total, "tagged_pairs": tagged,
@@ -249,14 +256,11 @@ def cmd_tag_apply(args) -> int:
         raise MalformedFile(
             f"{args.annotations}: line_no {outside[0]} is outside the {lines} source lines"
         )
-    annotations = [by_line.get(pair.line_no, []) for pair in corpus.pairs]
     alignments = align.read_pharaoh(args.alignments)
     table = lexicon.load_table(args.table)
+    outputs = {method: (args.out_src, args.out_tgt, args.manifest)}
     with _naming(args.annotations, MalformedFile), _naming(args.alignments, LengthMismatch):
-        selected = template.select_bundles(corpus, annotations, alignments, table)
-    tagged = template.tag_corpus(corpus, selected, method, vocab)
-    template.write_tagged(tagged, args.out_src, args.out_tgt, args.manifest, vocab)
-    stats = _tag_stats(selected)
+        stats = _tag_and_write(corpus, by_line, alignments, table, vocab, outputs)
     print(
         f"tagged {stats['tagged_pairs']}/{stats['total_pairs']} pairs "
         f"(fraction {stats['tag_fraction']:.4f})"
@@ -291,12 +295,17 @@ def _manifest_subset(path) -> set[int]:
 def cmd_eval_bleu(args) -> int:
     hyps = read_token_lines(args.hyp)
     refs = read_token_lines(args.ref)
+    if len(hyps) != len(refs):
+        raise CountMismatch(f"{args.hyp} has {len(hyps)} lines but {args.ref} has {len(refs)}")
     subset = None
     if args.subset == "tag-only":
         if not args.manifest:
             raise ConfigError("missing required option --manifest (subset is 'tag-only')")
         subset = _manifest_subset(args.manifest)
-    result = metrics.bleu(hyps, refs, max_n=args.max_n, subset=subset)
+    # with the line counts checked, a subset line outside the hypotheses is
+    # the only CountMismatch left: a manifest made for another corpus
+    with _naming(args.manifest, CountMismatch):
+        result = metrics.bleu(hyps, refs, max_n=args.max_n, subset=subset)
     print(metrics.format_bleu(result))
     scored = "all" if subset is None else f"tag-only({len(subset)} lines)"
     print(f"BLEU signature: nrefs:1|max_n:{args.max_n}|tok:as-given|smooth:none|subset:{scored}")
@@ -317,7 +326,8 @@ def cmd_eval_copy(args) -> int:
             f"--method is required: manifest mixes methods {sorted(m.value for m in methods)}"
         )
     outputs = read_token_lines(args.outputs)
-    report = metrics.copy_accuracy(manifest, outputs, method)
+    with _naming(args.manifest, CountMismatch):
+        report = metrics.copy_accuracy(manifest, outputs, method)
     print(metrics.format_copy_report(report))
     if args.tsv:
         metrics.write_copy_tsv(report, args.tsv)
@@ -331,15 +341,21 @@ def cmd_eval_pos(args) -> int:
     references = read_token_lines(args.ref)
     pos_tags = read_token_lines(args.pos)
     src = read_token_lines(args.src)
-    if len(pos_tags) != len(src):
-        raise CountMismatch(f"{args.pos} has {len(pos_tags)} rows but {args.src} has {len(src)}")
+    alignments = align.read_pharaoh(args.alignments)
+    for path, rows in ((args.pos, pos_tags), (args.alignments, alignments),
+                       (args.ref, references), (args.system, system_outputs),
+                       (args.baseline, baseline_outputs)):
+        if len(rows) != len(src):
+            raise CountMismatch(f"{path} has {len(rows)} rows but {args.src} has {len(src)}")
     for k, (tags, tokens) in enumerate(zip(pos_tags, src), 1):
         if len(tags) != len(tokens):
             raise CountMismatch(
                 f"{args.pos}:{k}: {len(tags)} POS tags for {len(tokens)} source tokens"
             )
-    alignments = align.read_pharaoh(args.alignments)
-    with _naming(args.manifest, MalformedFile), _naming(args.alignments, LengthMismatch):
+    # with the row counts checked, a manifest row outside the inputs is the
+    # only CountMismatch left
+    with (_naming(args.manifest, (MalformedFile, CountMismatch)),
+          _naming(args.alignments, LengthMismatch)):
         report = metrics.pos_accuracy(system_outputs, baseline_outputs, manifest, pos_tags,
                                       alignments, references, resamples=args.resamples,
                                       seed=args.seed)
@@ -404,16 +420,12 @@ def cmd_pipeline_run(args) -> int:
         by_line = _annotate_and_write(
             cfg.src, cfg.profile, cfg.linker, resolver, artifact("link/annotations.jsonl")
         )
-        mention_lists = [by_line[pair.line_no] for pair in corpus.pairs]
 
         stage = "tag"
-        selected = template.select_bundles(corpus, mention_lists, sym, table)
-        stats = _tag_stats(selected)
+        outputs = {method: [artifact(f"tagged/{method.value}.{x}")
+                            for x in ("src", "tgt", "manifest.jsonl")] for method in cfg.methods}
+        stats = _tag_and_write(corpus, by_line, sym, table, cfg.vocab, outputs)
         log.info("[tag] %d/%d pairs tagged", stats["tagged_pairs"], stats["total_pairs"])
-        for method in cfg.methods:
-            out = [artifact(f"tagged/{method.value}.{x}") for x in ("src", "tgt", "manifest.jsonl")]
-            template.write_tagged(template.tag_corpus(corpus, selected, method, cfg.vocab),
-                                  *out, cfg.vocab)
     except ToolkitError as exc:
         exc.args = (f"[{stage}] {exc}",)
         raise

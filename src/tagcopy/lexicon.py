@@ -44,9 +44,9 @@ def build_translation_table(
         )
     pair_counts: dict[str, Counter] = defaultdict(Counter)
     tgt_freq: Counter = Counter()
-    for pair, links in zip(corpus.pairs, alignments):
+    for row, (pair, links) in enumerate(zip(corpus.pairs, alignments)):
         tgt_freq.update(pair.tgt)
-        check_links(links, len(pair.src), len(pair.tgt), pair.line_no)
+        check_links(links, len(pair.src), len(pair.tgt), row)
         for i, j in links:
             pair_counts[pair.src[i]][pair.tgt[j]] += 1
 

@@ -214,14 +214,14 @@ def select_bundles(
     Every mention must fit its pair's source side: a span past the end of
     the sentence, a surface that is not the tokens under the span, or two
     overlapping mentions raise MalformedFile naming the pair's line_no.
-    A link outside its pair raises LengthMismatch.
+    A link outside its pair raises LengthMismatch naming its alignment row.
     """
     for name, rows in (("annotation", annotations), ("alignment", alignments)):
         if len(rows) != len(corpus.pairs):
             raise LengthMismatch(f"{len(rows)} {name} rows for {len(corpus.pairs)} pairs")
     selected = []
-    for pair, mentions, links in zip(corpus.pairs, annotations, alignments):
-        check_links(links, len(pair.src), len(pair.tgt), pair.line_no)
+    for row, (pair, mentions, links) in enumerate(zip(corpus.pairs, annotations, alignments)):
+        check_links(links, len(pair.src), len(pair.tgt), row)
         bundles = []
         prev_end = 0
         for m in sorted(mentions, key=lambda m: m.start):

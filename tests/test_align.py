@@ -17,6 +17,7 @@ from tagcopy.align import (
     PRUNE_RATIO,
     REVERSE,
     AlignModel,
+    Theta,
     align_corpus,
     check_links,
     corpus_perplexity,
@@ -304,6 +305,21 @@ class TestSymmetrize:
         assert inter <= gdfa <= union
 
 
+def test_theta_row_is_a_new_dict_in_f_order():
+    rows = {"b": {"z": 0.25, "x": 0.75}, NULL_WORD: {"y": 1.0}, "a": {"y": 0.5, "w": 0.5}}
+    theta = Theta.from_rows(rows)
+    assert list(theta) == [NULL_WORD, "a", "b"] and len(theta) == 3
+    for e, row in rows.items():
+        assert type(theta[e]) is dict
+        assert list(theta[e].items()) == sorted(row.items())
+    theta["a"]["w"] = 0.0
+    assert theta["a"]["w"] == 0.5
+    with pytest.raises(KeyError):
+        theta["c"]
+    model = AlignModel(rows, tension=4.0, p0=0.08)
+    assert (model.prob("b", "z"), model.prob("b", "y"), model.prob("c", "x")) == (0.25, 0.0, 0.0)
+
+
 class TestCheckLinks:
     def test_links_inside_the_pair_pass(self):
         check_links({(0, 0), (1, 2)}, 2, 3, 0)
@@ -311,9 +327,10 @@ class TestCheckLinks:
 
     @pytest.mark.parametrize("link", [(2, 0), (0, 3), (-1, 0), (0, -1)])
     def test_link_outside_the_pair(self, link):
+        # the 0-based alignment row 4 is line 5 of the alignments file
         i, j = link
-        with pytest.raises(LengthMismatch, match=f"line 5: link {i}-{j} out of bounds for 2x3"):
-            check_links({(0, 0), link}, 2, 3, 5)
+        with pytest.raises(LengthMismatch, match=f"^line 5: link {i}-{j} out of bounds for 2x3"):
+            check_links({(0, 0), link}, 2, 3, 4)
 
 
 class TestPerplexity:

@@ -74,6 +74,19 @@ def add_link(alignments, out, line, link):
 OUTSIDE = ["0-9", "9-0"]
 
 
+def drop_two_pairs(toy_dir, tmp_path, link):
+    """The toy target with its first two lines emptied, so read_parallel
+    drops those pairs, and the gold alignments of the pairs it keeps with
+    ``link`` added to line 1, the pair of source line 2 (0-based)."""
+    tgt = tmp_path / "dropped.zz"
+    lines = (toy_dir / "tgt.zz").read_text(encoding="utf-8").splitlines()
+    tgt.write_text("".join(line + "\n" for line in ["", ""] + lines[2:]), encoding="utf-8")
+    kept = tmp_path / "kept.align"
+    rows = (toy_dir / "gold.align").read_text(encoding="utf-8").splitlines()
+    kept.write_text("".join(row + "\n" for row in rows[2:]), encoding="utf-8")
+    return tgt, add_link(kept, tmp_path / "bad.align", 0, link)
+
+
 class TestSplit:
     def test_writes_three_splits(self, tmp_path, toy_dir):
         outdir = tmp_path / "splits"
@@ -160,8 +173,15 @@ class TestAlignChain:
                          "--tgt", str(toy_dir / "tgt.zz"), "--alignments", str(bad),
                          "--out", str(tmp_path / "table.tsv")]) == 2
         err = capsys.readouterr().err
-        assert f"{bad}: line 0: link {link} out of bounds for 6x6 tokens" in err
+        assert f"{bad}: line 1: link {link} out of bounds for 6x6 tokens" in err
         assert not (tmp_path / "table.tsv").exists()
+
+    def test_lexicon_build_names_the_alignments_line_past_dropped_pairs(self, tmp_path, toy_dir,
+                                                                         capsys):
+        tgt, bad = drop_two_pairs(toy_dir, tmp_path, "0-99")
+        assert cli.main(["lexicon-build", "--src", str(toy_dir / "src.en"), "--tgt", str(tgt),
+                         "--alignments", str(bad), "--out", str(tmp_path / "table.tsv")]) == 2
+        assert f"{bad}: line 1: link 0-99 out of bounds" in capsys.readouterr().err
 
     def test_symmetrize_row_count_mismatch(self, tmp_path):
         (tmp_path / "f").write_text("0-0\n", encoding="utf-8")
@@ -345,9 +365,23 @@ class TestTagApply:
         rc, out_src, *_ = self._tag(tmp_path, toy_dir, {**prepared, "alignments": bad}, "tag")
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"{bad}: line 0: link {link} out of bounds for 6x6 tokens" in err
+        assert f"{bad}: line 1: link {link} out of bounds for 6x6 tokens" in err
         assert "Traceback" not in err
         assert not out_src.exists()
+
+    def test_names_the_alignments_line_past_dropped_pairs(self, tmp_path, toy_dir, prepared,
+                                                          capsys):
+        tgt, bad = drop_two_pairs(toy_dir, tmp_path, "0-99")
+        rc = cli.main([
+            "tag-apply", "--src", str(toy_dir / "src.en"), "--tgt", str(tgt),
+            "--annotations", str(prepared["annotations"]), "--alignments", str(bad),
+            "--table", str(prepared["table"]), "--method", "tag",
+            "--out-src", str(tmp_path / "o.src"), "--out-tgt", str(tmp_path / "o.tgt"),
+            "--manifest", str(tmp_path / "o.jsonl"),
+        ])
+        assert rc == 2
+        assert f"{bad}: line 1: link 0-99 out of bounds" in capsys.readouterr().err
+        assert not (tmp_path / "o.src").exists()
 
     def test_refuses_a_reserved_tag_token(self, tmp_path, toy_dir, prepared, capsys):
         src, tgt, ann = tmp_path / "in.en", tmp_path / "in.zz", tmp_path / "in.jsonl"
@@ -425,14 +459,33 @@ class TestEvalCommands:
         ])
         assert rc == 2
         assert "nope.hyp" in capsys.readouterr().err
+        # files that are not line-parallel are named too
+        hyp, ref, manifest = tmp_path / "two.hyp", tmp_path / "one.ref", tmp_path / "m.jsonl"
+        hyp.write_text("a b\nc\n", encoding="utf-8")
+        ref.write_text("a b\n", encoding="utf-8")
+        assert cli.main(["eval-bleu", "--hyp", str(hyp), "--ref", str(ref)]) == 2
+        assert f"{hyp} has 2 lines but {ref} has 1" in capsys.readouterr().err
+        manifest.write_text(json.dumps({
+            "line_no": 5, "method": "tag", "bundles": [],
+            "tag_vocab": {"start": "<s>", "mid1": "<m>", "mid2": "<n>", "end": "<e>"},
+        }) + "\n", encoding="utf-8")
+        assert cli.main(["eval-copy", "--outputs", str(hyp), "--manifest", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}: manifest row 5 outside the 2 output lines" in err
+        assert "Traceback" not in err
 
-    def test_bleu_tag_only_needs_manifest(self, toy_dir, capsys):
-        rc = cli.main([
-            "eval-bleu", "--hyp", str(toy_dir / "tgt.zz"), "--ref", str(toy_dir / "tgt.zz"),
-            "--subset", "tag-only",
-        ])
-        assert rc == 2
+    def test_bleu_tag_only_needs_manifest(self, tmp_path, toy_dir, capsys):
+        argv = ["eval-bleu", "--hyp", str(toy_dir / "tgt.zz"), "--ref", str(toy_dir / "tgt.zz"),
+                "--subset", "tag-only"]
+        assert cli.main(argv) == 2
         assert "--manifest" in capsys.readouterr().err
+        # ... that fits the hypotheses
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text('{"line_no": 3}\n{"line_no": 200}\n', encoding="utf-8")
+        assert cli.main([*argv, "--manifest", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}: subset line 200 outside the 200 hypothesis lines" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("max_n", ["0", "-1"])
     def test_bleu_max_n_below_one_exits_2(self, toy_dir, capsys, max_n):
@@ -519,6 +572,20 @@ class TestEvalCommands:
         ])
         assert rc == 2
         assert f"{bad_pos}:1: 1 POS tags for 6 source tokens" in capsys.readouterr().err
+        # a line-parallel input one row short is named
+        short_ref = tmp_path / "short.zz"
+        short_ref.write_text("".join((toy_dir / "tgt.zz").read_text(encoding="utf-8")
+                                     .splitlines(keepends=True)[:-1]), encoding="utf-8")
+        rc = cli.main([
+            "eval-pos",
+            "--system", str(toy_dir / "tgt.zz"), "--baseline", str(toy_dir / "tgt.zz"),
+            "--manifest", str(manifest), "--pos", str(toy_dir / "pos.en"),
+            "--alignments", str(toy_dir / "gold.align"), "--ref", str(short_ref),
+            "--src", str(toy_dir / "src.en"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{short_ref} has 199 rows but {toy_dir / 'src.en'} has 200" in err
 
     def _eval_pos(self, toy_dir, manifest, alignments):
         return cli.main([
@@ -540,7 +607,7 @@ class TestEvalCommands:
         capsys.readouterr()
         assert self._eval_pos(toy_dir, manifest, bad) == 2
         err = capsys.readouterr().err
-        assert f"{bad}: line {ln}: link {link} out of bounds for {n}x{n} tokens" in err
+        assert f"{bad}: line {ln + 1}: link {link} out of bounds for {n}x{n} tokens" in err
         assert "Traceback" not in err
 
     def test_eval_pos_refuses_a_span_past_its_line(self, tmp_path, toy_dir, prepared, capsys):
@@ -554,6 +621,13 @@ class TestEvalCommands:
         assert self._eval_pos(toy_dir, manifest, toy_dir / "gold.align") == 2
         err = capsys.readouterr().err
         assert f"{manifest}: manifest row {ln}: src_span [40, 50) ends past the {n}" in err
+        assert "Traceback" not in err
+        # a row past the inputs
+        records[0]["line_no"] = 200
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert self._eval_pos(toy_dir, manifest, toy_dir / "gold.align") == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}: manifest row 200 outside the 200 input lines" in err
         assert "Traceback" not in err
 
 

@@ -51,7 +51,7 @@ class TestBuild:
             build_translation_table(make_corpus([("a", "x")]), [])
 
     def test_out_of_bounds_link(self):
-        with pytest.raises(LengthMismatch, match="line 0"):
+        with pytest.raises(LengthMismatch, match="^line 1: "):
             build_translation_table(make_corpus([("a", "x")]), [{(0, 3)}])
 
     def test_probability_consistent_with_recount(self, toy_corpus, toy_gold_alignments, toy_table):

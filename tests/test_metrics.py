@@ -340,7 +340,7 @@ class TestPosAccuracy:
     def test_link_outside_the_line(self, link):
         # a source index past the POS row, or a reference index past the reference
         out = [["bon", "mot", "X"]]
-        with pytest.raises(LengthMismatch, match=f"^line 0: link {link[0]}-{link[1]} "):
+        with pytest.raises(LengthMismatch, match=f"^line 1: link {link[0]}-{link[1]} "):
             pos_accuracy(out, out, [_pos_entry(0, [(2, 3)])], [["ADJ", "ADJ", "PROPN"]],
                          [{(0, 0), link}], out, resamples=10)
 

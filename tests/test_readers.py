@@ -9,10 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tagcopy.align import load_model, read_pharaoh
+from tagcopy.align import (
+    FORWARD,
+    NULL_WORD,
+    REVERSE,
+    AlignModel,
+    load_model,
+    read_pharaoh,
+    save_model,
+    write_pharaoh,
+)
 from tagcopy.corpus import ParallelCorpus, SentencePair
 from tagcopy.errors import MalformedFile
-from tagcopy.lexicon import TableEntry, TranslationTable, load_table
+from tagcopy.lexicon import TableEntry, TranslationTable, load_table, save_table
 from tagcopy.link import (
     EntityMention,
     Gazetteer,
@@ -264,3 +273,48 @@ def mention(draw):
 def test_annotations_round_trip(scratch, annotated):
     write_annotations(scratch, list(annotated.items()))
     assert read_annotations(scratch) == annotated
+
+
+# probabilities down to the smallest subnormal
+probability = st.floats(0.0, 1.0) | st.just(5e-324)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    theta=st.dictionaries(st.just(NULL_WORD) | token,
+                          st.dictionaries(token, probability, min_size=1, max_size=4),
+                          min_size=1, max_size=5),
+    direction=st.sampled_from([FORWARD, REVERSE]),
+    tension=st.floats(0.0, 100.0),
+    p0=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_model_round_trips_bit_identical(scratch, theta, direction, tension, p0):
+    model = AlignModel(theta, tension, p0, direction)
+    save_model(model, scratch)
+    loaded = load_model(scratch)
+    assert (loaded.direction, loaded.tension, loaded.p0) == (direction, tension, p0)
+    assert (loaded.theta.cond, loaded.theta.emit) == (model.theta.cond, model.theta.emit)
+    assert loaded.theta.pair_keys.tobytes() == model.theta.pair_keys.tobytes()
+    assert loaded.theta.probs.tobytes() == model.theta.probs.tobytes()
+    assert loaded.theta == model.theta
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sets(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=6),
+                max_size=8))
+def test_pharaoh_round_trips(scratch, link_sets):
+    write_pharaoh(link_sets, scratch)
+    assert read_pharaoh(scratch) == link_sets
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(token, st.builds(TableEntry, token, st.integers(1, 10**9),
+                                        st.floats(0.0, 1.0)), max_size=6))
+def test_table_round_trips(scratch, entries):
+    # probabilities are written with 6 decimals
+    save_table(TranslationTable(entries), scratch)
+    loaded = load_table(scratch).entries
+    assert loaded.keys() == entries.keys()
+    for word, entry in entries.items():
+        assert (loaded[word].target, loaded[word].count) == (entry.target, entry.count)
+        assert loaded[word].prob == pytest.approx(entry.prob, abs=5e-7)

@@ -223,7 +223,8 @@ class TestTagCorpus:
         corpus.pairs[1] = replace(corpus.pairs[1], line_no=4)
         mention = EntityMention(1, 2, ["port"], "kb:P", ["place"])
         links = [set(), {(0, 0), (1, 1), (2, 2), link}]
-        with pytest.raises(LengthMismatch, match=f"^line 4: link {link[0]}-{link[1]} "):
+        # the pair from source line 4 is on line 2 of the alignments
+        with pytest.raises(LengthMismatch, match=f"^line 2: link {link[0]}-{link[1]} "):
             select_bundles(corpus, [[], [mention]], links, TranslationTable({}))
 
     def test_method_parity_on_toy(self, toy_corpus, toy_annotations, toy_gold_alignments, toy_table):
