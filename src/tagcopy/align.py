@@ -45,6 +45,7 @@ import math
 from array import array
 from collections import defaultdict
 from collections.abc import Mapping
+from copy import copy
 from dataclasses import dataclass, field
 from itertools import count
 
@@ -142,6 +143,12 @@ class AlignModel:
     ``e -> {f: p}`` mapping passed in is converted to a :class:`Theta`.
     ``perplexity_history`` holds the training perplexity observed at the
     start of each EM iteration (i.e. under the parameters entering it).
+
+    ``training_cells`` is never saved. A model returned by
+    :func:`train_alignment` or :func:`prune_model` carries there the cell
+    index of its training corpus, built once by training; the first
+    :func:`align_corpus` or :func:`corpus_perplexity` on that same corpus
+    object decodes through it and drops it. A loaded model has none.
     """
 
     theta: Theta
@@ -149,6 +156,7 @@ class AlignModel:
     p0: float
     direction: str = FORWARD
     perplexity_history: list[float] = field(default_factory=list)
+    training_cells: "_Cells | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.theta, Theta):
@@ -207,25 +215,37 @@ class _Cells:
 
     Shape group (m, n) covers ``index[lo:hi]``, viewed as (pairs, m, n + 1).
     A cell whose (e, f) is not in theta gets index ``len(theta.probs)``,
-    which scores 0.
+    which scores 0. ``corpus`` is the corpus object the index was built for.
     """
 
-    def __init__(self, pairs, direction: str, theta: Theta, tension: float, p0: float):
-        import numpy as np
-
-        shapes = _shapes(pairs, direction)
-        self.index = np.empty(sum(len(ids) * m * (n + 1) for m, n, ids in shapes), dtype=np.int32)
+    def __init__(self, corpus: ParallelCorpus, shapes, index, tension: float, p0: float):
+        self.corpus = corpus
+        self.index = index
         self.shapes = []
-        theta_keys = theta.pair_keys
-        padded = np.append(theta_keys, -2)  # the past-the-end slot matches no key
         lo = 0
         for m, n, ids in shapes:
-            keys = _cell_keys(pairs, ids, direction, theta.cond_id, theta.emit_id).ravel()
-            hi = lo + keys.size
-            pos = np.searchsorted(theta_keys, keys)
-            self.index[lo:hi] = np.where(padded[pos] == keys, pos, len(theta_keys))
+            hi = lo + len(ids) * m * (n + 1)
             self.shapes.append((m, n, ids, lo, hi, _prior(m, n, tension, p0)))
             lo = hi
+
+    @classmethod
+    def lookup(cls, model: "AlignModel", corpus: ParallelCorpus) -> "_Cells":
+        """The cells of any corpus under ``model``, each key found in theta
+        by a ``searchsorted`` per shape."""
+        import numpy as np
+
+        shapes = _shapes(corpus.pairs, model.direction)
+        index = np.empty(sum(len(ids) * m * (n + 1) for m, n, ids in shapes), dtype=np.int32)
+        theta = model.theta
+        padded = np.append(theta.pair_keys, -2)  # the past-the-end slot matches no key
+        lo = 0
+        for _m, _n, ids in shapes:
+            keys = _cell_keys(corpus.pairs, ids, model.direction, theta.cond_id,
+                              theta.emit_id).ravel()
+            pos = np.searchsorted(theta.pair_keys, keys)
+            index[lo:lo + keys.size] = np.where(padded[pos] == keys, pos, len(theta.pair_keys))
+            lo += keys.size
+        return cls(corpus, shapes, index, model.tension, model.p0)
 
     def blocks(self, probs, out=None):
         """Yield ``(m, n, pair indices, block)`` per shape, the block holding
@@ -242,15 +262,30 @@ class _Cells:
             yield m, n, ids, block
 
 
-def _distinct(a):
-    """Sorted distinct values of an integer array. A sort, because
-    ``np.unique`` builds a hash table several times the array's size."""
+def _support_and_index(pairs, shapes, direction: str, cond_id: dict, emit_id: dict):
+    """The sorted distinct cell keys of a training corpus (theta's support),
+    and each cell's rank among them (int32, in cell order), from one
+    argsort of every cell's key."""
     import numpy as np
 
-    a = np.sort(a, axis=None)
-    first = np.ones(a.size, dtype=bool)
-    first[1:] = a[1:] != a[:-1]
-    return a[first]
+    keys = np.empty(sum(len(ids) * m * (n + 1) for m, n, ids in shapes), dtype=np.int64)
+    lo = 0
+    for _m, _n, ids in shapes:
+        block = _cell_keys(pairs, ids, direction, cond_id, emit_id).ravel()
+        keys[lo:lo + block.size] = block
+        lo += block.size
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    support = keys[first]
+    del keys
+    rank = np.cumsum(first, dtype=np.int32)
+    rank -= 1
+    index = np.empty_like(rank)
+    index[order] = rank
+    return support, index
 
 
 def train_alignment(
@@ -288,18 +323,16 @@ def train_alignment(
 
     cond = sorted({e for p in corpus.pairs for e in _sides(p, direction)[0]} | {NULL_WORD})
     emit = sorted({f for p in corpus.pairs for f in _sides(p, direction)[1]})
-    cond_id, emit_id = _ids(cond), _ids(emit)
+    shapes = _shapes(corpus.pairs, direction)
     # the support is every key some cell reaches; rows start uniform
-    keys = _distinct(np.concatenate([
-        _distinct(_cell_keys(corpus.pairs, ids, direction, cond_id, emit_id))
-        for _m, _n, ids in _shapes(corpus.pairs, direction)
-    ]))
+    keys, index = _support_and_index(corpus.pairs, shapes, direction, _ids(cond), _ids(emit))
     rows = keys // len(emit)
     probs = (1.0 / np.bincount(rows, minlength=len(cond)))[rows]
-    model = AlignModel(Theta(cond, emit, keys, probs), tension, p0, direction)
-    cells = _Cells(corpus.pairs, direction, model.theta, tension, p0)
+    cells = _Cells(corpus, shapes, index, tension, p0)
+    model = AlignModel(Theta(cond, emit, keys, probs), tension, p0, direction,
+                       training_cells=cells)
     total_emitted = sum(len(_sides(p, direction)[1]) for p in corpus.pairs)
-    posteriors = np.empty(len(cells.index))
+    posteriors = np.empty(len(index))
 
     for k in range(iterations):
         loglik = 0.0
@@ -356,7 +389,8 @@ def prune_model(model: AlignModel) -> AlignModel:
     ``PRUNE_RATIO`` times the row's maximum, so every row keeps its best
     entry. The NULL row is kept whole: with ``p0 > 0`` every word emitted
     in training keeps a nonzero probability. Vocabularies, hyperparameters
-    and the perplexity history are unchanged.
+    and the perplexity history are unchanged, and training cells are
+    carried over, remapped to the kept entries.
     """
     import numpy as np
 
@@ -368,8 +402,27 @@ def prune_model(model: AlignModel) -> AlignModel:
     if NULL_WORD in theta.cond_id:
         keep |= rows == theta.cond_id[NULL_WORD]
     pruned = Theta(theta.cond, theta.emit, theta.pair_keys[keep], theta.probs[keep])
+    cells = model.training_cells
+    if cells is not None:
+        # old entry -> its position among the kept ones; a cut entry (and
+        # the old past-the-end slot) -> the new past-the-end slot
+        remap = np.full(len(keep) + 1, len(pruned.probs), dtype=np.int32)
+        remap[:-1][keep] = np.arange(len(pruned.probs), dtype=np.int32)
+        cells = copy(cells)
+        cells.index = remap[cells.index]
     return AlignModel(pruned, model.tension, model.p0, model.direction,
-                      list(model.perplexity_history))
+                      list(model.perplexity_history), cells)
+
+
+def _cells(model: AlignModel, corpus: ParallelCorpus) -> _Cells:
+    """The cells of ``corpus`` under ``model``: the model's training cells
+    when they were built for this very corpus object (taken off the model,
+    so they are held no longer than their one use), else looked up."""
+    cells = model.training_cells
+    if cells is not None and cells.corpus is corpus:
+        model.training_cells = None
+        return cells
+    return _Cells.lookup(model, corpus)
 
 
 def align_corpus(model: AlignModel, corpus: ParallelCorpus) -> list[set[tuple[int, int]]]:
@@ -381,7 +434,7 @@ def align_corpus(model: AlignModel, corpus: ParallelCorpus) -> list[set[tuple[in
         cond, emit = _sides(pair, model.direction)
         if not cond or not emit:
             raise EmptyPair(f"pair at line {pair.line_no} has an empty side")
-    cells = _Cells(corpus.pairs, model.direction, model.theta, model.tension, model.p0)
+    cells = _cells(model, corpus)
     link_sets: list = [None] * len(corpus.pairs)
     forward = model.direction == FORWARD
     for _m, n, ids, block in cells.blocks(model.theta.probs):
@@ -475,7 +528,7 @@ def corpus_perplexity(model: AlignModel, corpus: ParallelCorpus) -> float:
         raise EmptyCorpus("no pairs to score")
     import numpy as np
 
-    cells = _Cells(corpus.pairs, model.direction, model.theta, model.tension, model.p0)
+    cells = _cells(model, corpus)
     loglik = 0.0
     total = 0
     first_zero = None  # (pair index, emitted position) earliest in corpus order

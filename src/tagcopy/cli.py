@@ -13,7 +13,10 @@ import json
 import logging
 import operator
 import os
+import pickle
+import signal
 import sys
+import traceback
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -101,16 +104,92 @@ def _train_and_save(corpus, params: AlignerParams, direction: str, path) -> alig
         alpha=params.alpha,
         direction=direction,
     ))
-    for k, perp in enumerate(model.perplexity_history):
-        log.info("iteration %d: perplexity %.4f", k, perp)
     align.save_model(model, path)
     return model
+
+
+def _log_perplexity(history) -> None:
+    for k, perp in enumerate(history):
+        log.info("iteration %d: perplexity %.4f", k, perp)
 
 
 def _decode_and_write(model: align.AlignModel, corpus, path) -> list[set[tuple[int, int]]]:
     links = align.align_corpus(model, corpus)
     align.write_pharaoh(links, path)
     return links
+
+
+def _align_direction(corpus, params: AlignerParams, direction: str, model_path, align_path):
+    """Train, prune, save, decode and write one direction; returns its link
+    sets and perplexity history."""
+    model = _train_and_save(corpus, params, direction, model_path)
+    return _decode_and_write(model, corpus, align_path), model.perplexity_history
+
+
+class ChildDied(OSError):
+    """A forked stage process ended without sending its result."""
+
+
+@contextmanager
+def _forked(what: str, job, *args):
+    """Run ``job(*args)`` in a forked child while the block runs, and yield
+    a function that waits for the child and returns the job's result, or
+    raises the ToolkitError or OSError the job raised; ``what`` names the job
+    when the child ends without a result (ChildDied). The child inherits its
+    inputs, so nothing is pickled into it; the result comes back pickled
+    through a pipe. The child is always reaped: leaving the block before
+    asking for the result kills it. Without ``os.fork`` the job runs
+    in-process when its result is asked for.
+    """
+    if not hasattr(os, "fork"):
+        yield lambda: job(*args)
+        return
+    read_fd, write_fd = os.pipe()
+    with os.fdopen(read_fd, "rb") as pipe, os.fdopen(write_fd, "wb") as out:
+        pid = os.fork()
+        if pid == 0:
+            _child(job, args, out)
+        out.close()  # the child holds the only write end, so its exit ends the read
+        reaped = False
+
+        def result():
+            nonlocal reaped
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped = True
+            if code != 0 or not data:  # the child exits 0 once the result is sent
+                raise ChildDied(f"the process running the {what} ended without a result "
+                                f"(exit code {code})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            return value
+
+        try:
+            yield result
+        finally:
+            if not reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _child(job, args, out) -> None:
+    """The forked child: run the job, send ``(True, result)`` or ``(False,
+    error)`` to ``out`` and end with ``os._exit``, so nothing of the
+    parent's clean-up runs twice."""
+    code = 1
+    try:
+        try:
+            reply = (True, job(*args))
+        except (ToolkitError, OSError) as exc:
+            reply = (False, exc)
+        pickle.dump(reply, out, protocol=pickle.HIGHEST_PROTOCOL)
+        out.close()
+        code = 0
+    except Exception:  # a bug: report it; the parent sees no result
+        traceback.print_exc()
+    finally:
+        os._exit(code)
 
 
 def _symmetrize_and_write(fwd, rev, heuristic: str, path) -> list[set[tuple[int, int]]]:
@@ -190,6 +269,7 @@ def cmd_align_train(args) -> int:
     params = AlignerParams(iterations=args.iterations, tension=args.tension,
                            p0=args.p0, vb=args.vb, alpha=args.alpha)
     model = _train_and_save(corpus, params, direction, args.model_out)
+    _log_perplexity(model.perplexity_history)
     print(f"final perplexity: {align.corpus_perplexity(model, corpus):.4f}")
     return 0
 
@@ -352,8 +432,8 @@ def cmd_eval_pos(args) -> int:
             raise CountMismatch(
                 f"{args.pos}:{k}: {len(tags)} POS tags for {len(tokens)} source tokens"
             )
-    # with the row counts checked, a manifest row outside the inputs is the
-    # only CountMismatch left
+    # with the row counts checked, a record whose line_no is outside the inputs
+    # is the only CountMismatch left
     with (_naming(args.manifest, (MalformedFile, CountMismatch)),
           _naming(args.alignments, LengthMismatch)):
         report = metrics.pos_accuracy(system_outputs, baseline_outputs, manifest, pos_tags,
@@ -401,13 +481,19 @@ def cmd_pipeline_run(args) -> int:
         log.info("[corpus] %d pairs (%d dropped)", len(corpus), corpus.dropped_count)
 
         stage = "align"
-        links = {}
-        for direction, name in ((align.FORWARD, "fwd"), (align.REVERSE, "rev")):
-            model_path = artifact(f"align/model.{name}.tsv")
-            model = _train_and_save(corpus, cfg.aligner, direction, model_path)
-            links[name] = _decode_and_write(model, corpus, artifact(f"align/{name}.align"))
+        # the reverse direction runs in a child while this process runs the
+        # forward one; numpy is imported first, so the child shares it
+        import numpy  # noqa: F401
+        fwd_paths = artifact("align/model.fwd.tsv"), artifact("align/fwd.align")
+        rev_paths = artifact("align/model.rev.tsv"), artifact("align/rev.align")
+        with _forked(f"{align.REVERSE} alignment", _align_direction, corpus, cfg.aligner,
+                     align.REVERSE, *rev_paths) as rev:
+            fwd_links, history = _align_direction(corpus, cfg.aligner, align.FORWARD, *fwd_paths)
+            _log_perplexity(history)
+            rev_links, history = rev()
+            _log_perplexity(history)
         sym = _symmetrize_and_write(
-            links["fwd"], links["rev"], cfg.aligner.heuristic, artifact("align/sym.align")
+            fwd_links, rev_links, cfg.aligner.heuristic, artifact("align/sym.align")
         )
 
         stage = "lexicon"

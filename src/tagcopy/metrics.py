@@ -162,7 +162,7 @@ def copy_accuracy(manifest: list[ManifestEntry], outputs, method: TemplateMethod
     for entry in manifest:
         if not 0 <= entry.line_no < len(outputs):
             raise CountMismatch(
-                f"manifest row {entry.line_no} outside the {len(outputs)} output lines"
+                f"line_no {entry.line_no} outside the {len(outputs)} output lines"
             )
         out = outputs[entry.line_no]
         if spec.delimited:
@@ -280,7 +280,7 @@ def pos_accuracy(
     for entry in manifest:
         ln = entry.line_no
         if not 0 <= ln < len(references):
-            raise CountMismatch(f"manifest row {ln} outside the {len(references)} input lines")
+            raise CountMismatch(f"line_no {ln} outside the {len(references)} input lines")
         if not entry.bundles:
             continue
         pos_row = pos_tags[ln]
@@ -291,7 +291,7 @@ def pos_accuracy(
         for s, e in spans:
             if e > len(pos_row):
                 raise MalformedFile(
-                    f"manifest row {ln}: src_span [{s}, {e}) ends past the "
+                    f"line_no {ln}: src_span [{s}, {e}) ends past the "
                     f"{len(pos_row)} source tokens"
                 )
             inside.update(range(s, e))

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import digamma
 
+import reference_cells
 from conftest import make_corpus
 from tagcopy.align import (
     FORWARD,
@@ -18,6 +19,7 @@ from tagcopy.align import (
     REVERSE,
     AlignModel,
     Theta,
+    _Cells,
     align_corpus,
     check_links,
     corpus_perplexity,
@@ -31,7 +33,7 @@ from tagcopy.align import (
     viterbi_align,
     write_pharaoh,
 )
-from tagcopy.corpus import ParallelCorpus
+from tagcopy.corpus import ParallelCorpus, SentencePair
 from tagcopy.errors import (
     EmptyCorpus,
     EmptyPair,
@@ -500,3 +502,68 @@ class TestPruning:
             assert loaded.theta == pruned.theta
             assert (loaded.tension, loaded.p0, loaded.direction) == (
                 pruned.tension, pruned.p0, pruned.direction)
+
+
+# random training corpora: few words, so cells share keys and shapes repeat
+_sides = st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), min_size=1, max_size=6)
+training_corpora = st.lists(st.tuples(_sides, _sides), min_size=1, max_size=12).map(
+    lambda pairs: ParallelCorpus([SentencePair(s, t, k) for k, (s, t) in enumerate(pairs)])
+)
+
+
+class TestTrainingCells:
+    """Training sorts every cell key once for theta's support and each
+    cell's index; a pruned model decodes its training corpus through that
+    index, remapped, instead of looking every cell up again."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(corpus=training_corpora, direction=st.sampled_from([FORWARD, REVERSE]))
+    def test_one_sort_matches_the_per_shape_construction(self, corpus, direction):
+        model = train_alignment(corpus, iterations=1, direction=direction)
+        support, index = reference_cells.support_and_index(corpus.pairs, direction)
+        assert np.array_equal(model.theta.pair_keys, support)
+        cells = model.training_cells
+        assert cells.corpus is corpus
+        assert cells.index.dtype == np.int32
+        assert np.array_equal(cells.index, index)
+        assert np.array_equal(_Cells.lookup(model, corpus).index, index)
+
+    @staticmethod
+    def _check_remapped_index(model, corpus):
+        """Decode and perplexity through the remapped training index equal,
+        bit for bit, the same done on cells freshly looked up."""
+        fresh = prune_model(model)
+        fresh.training_cells = None
+        looked_up = _Cells.lookup(fresh, corpus)
+        through = prune_model(model)
+        assert np.array_equal(through.training_cells.index, looked_up.index)
+        assert align_corpus(through, corpus) == align_corpus(fresh, corpus)
+        assert through.training_cells is None  # dropped after its one use
+        through = prune_model(model)
+        assert corpus_perplexity(through, corpus) == corpus_perplexity(fresh, corpus)
+        assert through.training_cells is None
+
+    @pytest.mark.parametrize("vb", [False, True], ids=["em", "vb"])
+    @pytest.mark.parametrize("direction", [FORWARD, REVERSE])
+    def test_remapped_index_on_the_toy_corpus(self, toy_corpus, vb, direction):
+        model = train_alignment(toy_corpus, iterations=5, vb=vb, direction=direction)
+        assert len(prune_model(model).theta.probs) < len(model.theta.probs)
+        self._check_remapped_index(model, toy_corpus)
+
+    @settings(max_examples=100, deadline=None)
+    @given(corpus=training_corpora, direction=st.sampled_from([FORWARD, REVERSE]),
+           vb=st.booleans(), iterations=st.integers(1, 6))
+    def test_remapped_index_on_random_corpora(self, corpus, direction, vb, iterations):
+        model = train_alignment(corpus, iterations=iterations, vb=vb, direction=direction)
+        self._check_remapped_index(model, corpus)
+
+    def test_used_only_for_the_corpus_it_was_built_for(self, toy_corpus, tmp_path):
+        model = prune_model(train_alignment(toy_corpus, iterations=2))
+        cells = model.training_cells
+        same_pairs = ParallelCorpus(list(toy_corpus.pairs))
+        links = align_corpus(model, same_pairs)
+        assert model.training_cells is cells  # another corpus object: looked up
+        assert align_corpus(model, toy_corpus) == links
+        assert model.training_cells is None
+        save_model(model, tmp_path / "m.tsv")
+        assert load_model(tmp_path / "m.tsv").training_cells is None

@@ -1,9 +1,11 @@
 import hashlib
 import inspect
 import json
+import logging
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -18,7 +20,8 @@ from tagcopy.config import (
     PipelineConfig,
     load_config,
 )
-from tagcopy.errors import ConfigError
+from tagcopy.corpus import read_parallel
+from tagcopy.errors import ConfigError, InvalidParams
 from tagcopy.link import EntityMention, read_annotations, write_annotations
 from tagcopy.template import read_manifest
 
@@ -43,6 +46,14 @@ def write_config(path, toy_dir, workdir, **overrides):
     cfg.update(overrides)
     path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
     return path
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """No command leaves a child process behind, reaped or not."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
@@ -471,7 +482,7 @@ class TestEvalCommands:
         }) + "\n", encoding="utf-8")
         assert cli.main(["eval-copy", "--outputs", str(hyp), "--manifest", str(manifest)]) == 2
         err = capsys.readouterr().err
-        assert f"{manifest}: manifest row 5 outside the 2 output lines" in err
+        assert f"{manifest}: line_no 5 outside the 2 output lines" in err
         assert "Traceback" not in err
 
     def test_bleu_tag_only_needs_manifest(self, tmp_path, toy_dir, capsys):
@@ -620,14 +631,14 @@ class TestEvalCommands:
         capsys.readouterr()
         assert self._eval_pos(toy_dir, manifest, toy_dir / "gold.align") == 2
         err = capsys.readouterr().err
-        assert f"{manifest}: manifest row {ln}: src_span [40, 50) ends past the {n}" in err
+        assert f"{manifest}: line_no {ln}: src_span [40, 50) ends past the {n}" in err
         assert "Traceback" not in err
         # a row past the inputs
         records[0]["line_no"] = 200
         manifest.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         assert self._eval_pos(toy_dir, manifest, toy_dir / "gold.align") == 2
         err = capsys.readouterr().err
-        assert f"{manifest}: manifest row 200 outside the 200 input lines" in err
+        assert f"{manifest}: line_no 200 outside the 200 input lines" in err
         assert "Traceback" not in err
 
 
@@ -774,6 +785,103 @@ class TestPipelineRun:
         assert cli.main(["pipeline-run", "--config", str(config)]) == 2
         assert f"[corpus] {tgt}:5: holds '<special4>'" in capsys.readouterr().err
         assert not any((workdir / "align").iterdir())
+
+
+class TestForkedReverseDirection:
+    """pipeline-run aligns the reverse direction in a forked child while it
+    aligns the forward one."""
+
+    @staticmethod
+    def _run(tmp_path, toy_dir, **overrides) -> int:
+        config = write_config(tmp_path / "config.yaml", toy_dir, tmp_path / "run", **overrides)
+        return cli.main(["pipeline-run", "--config", str(config)])
+
+    @staticmethod
+    def _patch_train(monkeypatch, reverse=None, forward=None):
+        """Run ``reverse()`` or ``forward()`` before training that direction."""
+        train = align.train_alignment
+
+        def patched(corpus, **kwargs):
+            before = reverse if kwargs["direction"] == align.REVERSE else forward
+            if before is not None:
+                before()
+            return train(corpus, **kwargs)
+
+        monkeypatch.setattr(align, "train_alignment", patched)
+
+    def test_reverse_error_exits_2_under_align(self, tmp_path, toy_dir, capsys, monkeypatch):
+        def refuse():
+            raise InvalidParams("reverse refused")
+
+        self._patch_train(monkeypatch, reverse=refuse)
+        assert self._run(tmp_path, toy_dir) == 2
+        err = capsys.readouterr().err
+        assert "error: [align] reverse refused" in err
+        assert "Traceback" not in err
+
+    def test_forward_error_kills_the_child(self, tmp_path, toy_dir, capsys, monkeypatch):
+        pid_file = tmp_path / "child.pid"
+
+        def hang():
+            (tmp_path / "pid.tmp").write_text(str(os.getpid()), encoding="utf-8")
+            os.replace(tmp_path / "pid.tmp", pid_file)
+            time.sleep(60)
+
+        def refuse():
+            deadline = time.monotonic() + 30
+            while not pid_file.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)  # until the child is in its reverse training
+            raise InvalidParams("forward refused")
+
+        self._patch_train(monkeypatch, reverse=hang, forward=refuse)
+        t0 = time.monotonic()
+        assert self._run(tmp_path, toy_dir) == 2
+        assert time.monotonic() - t0 < 45  # the child was killed, not waited for
+        assert "error: [align] forward refused" in capsys.readouterr().err
+        child = int(pid_file.read_text(encoding="utf-8"))
+        assert child != os.getpid()
+        with pytest.raises(ProcessLookupError):
+            os.kill(child, 0)
+
+    def test_a_child_that_dies_without_a_result_exits_2(self, tmp_path, toy_dir, capsys,
+                                                         monkeypatch):
+        self._patch_train(monkeypatch, reverse=lambda: os._exit(3))
+        assert self._run(tmp_path, toy_dir) == 2
+        err = capsys.readouterr().err
+        assert "the tgt-src alignment ended without a result (exit code 3)" in err
+        assert "Traceback" not in err
+
+    def test_without_fork_the_tree_is_byte_identical(self, tmp_path, toy_dir, monkeypatch):
+        trees = {}
+        for name in ("forked", "in-process"):
+            if name == "in-process":
+                monkeypatch.delattr(os, "fork")
+            workdir = tmp_path / name
+            config = write_config(tmp_path / f"{name}.yaml", toy_dir, workdir)
+            assert cli.main(["pipeline-run", "--config", str(config)]) == 0
+            trees[name] = {str(p.relative_to(workdir)): p.read_bytes()
+                           for p in workdir.rglob("*") if p.is_file()}
+        assert len(trees["forked"]) == 29  # 28 artifacts and the stage manifest
+        assert trees["forked"] == trees["in-process"]
+
+    def test_perplexity_lines_come_forward_then_reverse(self, tmp_path, toy_dir, caplog):
+        # a word added to every third target line, so the directions differ
+        lines = (toy_dir / "tgt.zz").read_text(encoding="utf-8").splitlines()
+        tgt = tmp_path / "tgt.zz"
+        tgt.write_text("".join(line + (" la" if k % 3 == 0 else "") + "\n"
+                               for k, line in enumerate(lines)), encoding="utf-8")
+        corpus = read_parallel(toy_dir / "src.en", tgt)
+        expected = {
+            direction: [f"iteration {k}: perplexity {p:.4f}" for k, p in enumerate(
+                align.train_alignment(corpus, iterations=5, tension=4.0, p0=0.08,
+                                      direction=direction).perplexity_history)]
+            for direction in (align.FORWARD, align.REVERSE)
+        }
+        assert expected[align.FORWARD] != expected[align.REVERSE]
+        with caplog.at_level(logging.INFO, logger="tagcopy.cli"):
+            assert self._run(tmp_path, toy_dir, tgt=str(tgt)) == 0
+        logged = [r.getMessage() for r in caplog.records if "perplexity" in r.getMessage()]
+        assert logged == expected[align.FORWARD] + expected[align.REVERSE]
 
 
 class TestStageParity:

@@ -346,7 +346,7 @@ class TestPosAccuracy:
 
     def test_span_past_the_pos_row(self):
         out = [["bon", "mot", "X"]]
-        with pytest.raises(MalformedFile, match=r"^manifest row 0: src_span \[2, 4\) ends past"):
+        with pytest.raises(MalformedFile, match=r"^line_no 0: src_span \[2, 4\) ends past"):
             pos_accuracy(out, out, [_pos_entry(0, [(2, 4)])], [["ADJ", "ADJ", "PROPN"]],
                          [{(0, 0)}], out, resamples=10)
 
