@@ -106,21 +106,6 @@ class Theta(Mapping):
         self.cond_id = _ids(cond)
         self.emit_id = _ids(emit)
 
-    @classmethod
-    def from_rows(cls, rows: Mapping) -> "Theta":
-        """Build from a mapping ``e -> {f: probability}``."""
-        import numpy as np
-
-        cond = sorted(rows)
-        emit = sorted({f for row in rows.values() for f in row})
-        emit_id = _ids(emit)
-        keys, values = [], []
-        for r, e in enumerate(cond):
-            for f, p in sorted(rows[e].items()):
-                keys.append(r * len(emit) + emit_id[f])
-                values.append(p)
-        return cls(cond, emit, np.array(keys, dtype=np.int64), np.array(values, dtype=np.float64))
-
     def __getitem__(self, e: str) -> dict[str, float]:
         base = self.cond_id[e] * len(self.emit)
         lo, hi = self.pair_keys.searchsorted([base, base + len(self.emit)]).tolist()
@@ -139,8 +124,7 @@ class AlignModel:
     """Lexical table plus the two prior hyperparameters.
 
     ``theta[e][f]`` is the probability of emitting f conditioned on e,
-    read through the row dict :class:`Theta` builds on each lookup; a plain
-    ``e -> {f: p}`` mapping passed in is converted to a :class:`Theta`.
+    read through the row dict :class:`Theta` builds on each lookup.
     ``perplexity_history`` holds the training perplexity observed at the
     start of each EM iteration (i.e. under the parameters entering it).
 
@@ -157,13 +141,6 @@ class AlignModel:
     direction: str = FORWARD
     perplexity_history: list[float] = field(default_factory=list)
     training_cells: "_Cells | None" = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not isinstance(self.theta, Theta):
-            self.theta = Theta.from_rows(self.theta)
-
-    def prob(self, e: str, f: str) -> float:
-        return self.theta.get(e, {}).get(f, 0.0)
 
 
 def _sides(pair: SentencePair, direction: str):
@@ -297,15 +274,12 @@ def train_alignment(
     vb: bool = False,
     alpha: float = 0.01,
     direction: str = FORWARD,
-    on_iteration=None,
 ) -> AlignModel:
     """Run EM over the corpus and return the trained model.
 
     With ``vb`` the M-step applies the digamma transform to the expected
     counts with Dirichlet hyperparameter ``alpha`` (rows are then no longer
-    exactly normalized); otherwise the M-step is the plain count-ratio MLE
-    update. ``on_iteration(k, model)`` is invoked after each M-step with the
-    live model, for inspection; the model must be treated as read-only.
+    exactly normalized); otherwise it is the plain count-ratio MLE update.
     """
     if not corpus.pairs:
         raise EmptyCorpus("cannot train on an empty corpus")
@@ -334,7 +308,7 @@ def train_alignment(
     total_emitted = sum(len(_sides(p, direction)[1]) for p in corpus.pairs)
     posteriors = np.empty(len(index))
 
-    for k in range(iterations):
+    for _ in range(iterations):
         loglik = 0.0
         for *_, block in cells.blocks(probs, posteriors):
             z = block.sum(axis=2)
@@ -343,8 +317,6 @@ def train_alignment(
         model.perplexity_history.append(math.exp(-loglik / total_emitted))
         counts = np.bincount(cells.index, weights=posteriors, minlength=len(probs))
         _reestimate(probs, counts, rows, len(cond), vb, alpha)
-        if on_iteration is not None:
-            on_iteration(k, model)
     return model
 
 

@@ -32,6 +32,7 @@ from .config import (
 )
 from .corpus import (
     NormProfile,
+    read_lines,
     read_parallel,
     read_records,
     split_holdout,
@@ -54,8 +55,7 @@ def _add_profile_flags(p):
 
 def read_token_lines(path) -> list[list[str]]:
     """Read a tokenized file verbatim (no normalization), one line per row."""
-    with open(path, encoding="utf-8") as f:
-        return [line.split() for line in f.read().splitlines()]
+    return [line.split() for line in read_lines(path)]
 
 
 def write_token_lines(rows, path) -> None:
@@ -218,10 +218,8 @@ def _annotate_and_write(src_path, profile, linker: LinkerParams, resolver, path)
     whether or not its pair survives ``read_parallel``, fill missing
     hypernyms from ``resolver`` if one is given, and write one row per
     line. Returns the mentions by line number."""
-    with open(src_path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
     sentences = {}
-    for i, raw in enumerate(lines):
+    for i, raw in enumerate(read_lines(src_path)):
         if tokens := tokenize_normalize(raw, profile):
             sentences[i] = tokens
     by_line = dict(zip(sentences, _make_annotator(linker)(list(sentences.values()))))
@@ -239,7 +237,8 @@ def _tag_and_write(corpus, by_line: dict, alignments, table, vocab, outputs: dic
     annotations = [by_line.get(pair.line_no, []) for pair in corpus.pairs]
     selected = template.select_bundles(corpus, annotations, alignments, table)
     for method, paths in outputs.items():
-        template.write_tagged(template.tag_corpus(corpus, selected, method, vocab), *paths, vocab)
+        rows = template.tag_corpus(corpus, selected, method, vocab)
+        template.write_tagged(rows, selected, method, vocab, *paths)
     total = len(selected)
     tagged = sum(1 for bundles in selected if bundles)
     return {"total_pairs": total, "tagged_pairs": tagged,
@@ -402,9 +401,8 @@ def cmd_eval_copy(args) -> int:
     elif len(methods) == 1:
         method = methods.pop()
     else:
-        raise ConfigError(
-            f"--method is required: manifest mixes methods {sorted(m.value for m in methods)}"
-        )
+        found = f"mixes methods {sorted(m.value for m in methods)}" if methods else "has no records"
+        raise ConfigError(f"--method is required: {args.manifest} {found}")
     outputs = read_token_lines(args.outputs)
     with _naming(args.manifest, CountMismatch):
         report = metrics.copy_accuracy(manifest, outputs, method)

@@ -68,8 +68,20 @@ class ParallelCorpus:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def __iter__(self):
-        return iter(self.pairs)
+
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, without their newlines: the lines
+    iterating the file yields, so a line breaks only at a newline, never
+    at U+2028, U+0085 or another break ``str.splitlines`` knows. A file
+    that is not UTF-8 raises MalformedFile naming the path."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            lines = f.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise MalformedFile(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if not lines[-1]:  # the text after the last newline
+        lines.pop()
+    return lines
 
 
 def read_parallel(src_path, tgt_path, profile: NormProfile = NormProfile()) -> ParallelCorpus:
@@ -79,10 +91,8 @@ def read_parallel(src_path, tgt_path, profile: NormProfile = NormProfile()) -> P
     to nothing are dropped (crawled corpora contain them) and counted in
     ``dropped_count``; surviving pairs keep their original line numbers.
     """
-    with open(src_path, encoding="utf-8") as f:
-        src_lines = f.read().splitlines()
-    with open(tgt_path, encoding="utf-8") as f:
-        tgt_lines = f.read().splitlines()
+    src_lines = read_lines(src_path)
+    tgt_lines = read_lines(tgt_path)
     if len(src_lines) != len(tgt_lines):
         raise LineCountMismatch(
             f"{src_path} has {len(src_lines)} lines but {tgt_path} has {len(tgt_lines)}"

@@ -19,9 +19,6 @@ class TableEntry:
 class TranslationTable:
     entries: dict[str, TableEntry]
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.entries
-
     def __len__(self) -> int:
         return len(self.entries)
 

@@ -134,15 +134,6 @@ class BundleRecord:
     uri: str = ""
 
 
-@dataclass
-class TaggedPair:
-    src: TokenSeq
-    tgt: TokenSeq
-    method: TemplateMethod
-    bundles: list[BundleRecord]  # empty when the pair is not tagged
-    line_no: int
-
-
 def _tag_content(method: TemplateMethod, bundle: BundleRecord, vocab: TagVocabulary) -> TokenSeq:
     """The token run the source side writes in place of the entity; a
     delimited method writes the same run on the target side."""
@@ -253,18 +244,20 @@ def tag_corpus(
     selected: list[list[BundleRecord]],
     method: TemplateMethod,
     vocab: TagVocabulary = SPECIAL_VOCAB,
-) -> list[TaggedPair]:
+) -> list[tuple[TokenSeq, TokenSeq]]:
     """Render one method over the bundles :func:`select_bundles` chose for
-    ``corpus``, right to left so earlier spans keep their indices."""
-    out = []
+    ``corpus``: one ``(src, tgt)`` token row per pair, each bundle rendered
+    right to left so earlier spans keep their indices. Rendering builds new
+    lists, so an untagged pair's row is the pair's own lists, unchanged."""
+    rows = []
     for pair, bundles in zip(corpus.pairs, selected, strict=True):
-        src, tgt = list(pair.src), list(pair.tgt)
+        src, tgt = pair.src, pair.tgt
         for b in reversed(bundles):
             src = render_source_template(method, b, src, vocab)
         for b in sorted(bundles, key=lambda b: b.tgt_span[0], reverse=True):
             tgt = render_target_template(method, b, tgt, vocab)
-        out.append(TaggedPair(src, tgt, method, bundles, pair.line_no))
-    return out
+        rows.append((src, tgt))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -389,29 +382,32 @@ class ManifestEntry:
 
 
 def write_tagged(
-    tagged: list[TaggedPair],
+    rows: list[tuple[TokenSeq, TokenSeq]],
+    selected: list[list[BundleRecord]],
+    method: TemplateMethod,
+    vocab: TagVocabulary,
     src_path,
     tgt_path,
     manifest_path,
-    vocab: TagVocabulary,
 ) -> None:
-    """Write the tagged parallel files plus the manifest of tagged rows.
+    """Write the rows :func:`tag_corpus` rendered from ``selected`` as the
+    tagged parallel files, plus the manifest of the tagged rows.
 
     Manifest line_no refers to the row index in the emitted files (the
     files the external translation system reads and answers line by line).
     """
     with open(src_path, "w", encoding="utf-8") as fs, open(tgt_path, "w", encoding="utf-8") as ft:
-        for tp in tagged:
-            fs.write(" ".join(tp.src) + "\n")
-            ft.write(" ".join(tp.tgt) + "\n")
+        for src, tgt in rows:
+            fs.write(" ".join(src) + "\n")
+            ft.write(" ".join(tgt) + "\n")
     with open(manifest_path, "w", encoding="utf-8") as f:
-        for row, tp in enumerate(tagged):
-            if tp.bundles:
+        for row, bundles in enumerate(selected):
+            if bundles:
                 record = {
                     "line_no": row,
-                    "method": tp.method.value,
+                    "method": method.value,
                     "tag_vocab": vars(vocab),
-                    "bundles": [vars(b) for b in tp.bundles],
+                    "bundles": [vars(b) for b in bundles],
                 }
                 f.write(json.dumps(record, ensure_ascii=False) + "\n")
 

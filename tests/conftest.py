@@ -54,9 +54,9 @@ def load_spotlight_fixture(name: str) -> dict:
         return json.load(f)
 
 
-def manifest_from_tagged(tagged, vocab) -> list[ManifestEntry]:
+def manifest_from_selection(selected, method, vocab) -> list[ManifestEntry]:
     """In-memory equivalent of write_tagged + read_manifest."""
     return [
-        ManifestEntry(row, tp.method, vocab, tp.bundles)
-        for row, tp in enumerate(tagged) if tp.bundles
+        ManifestEntry(row, method, vocab, bundles)
+        for row, bundles in enumerate(selected) if bundles
     ]

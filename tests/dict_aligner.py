@@ -3,11 +3,33 @@
 Plain Python over ``theta[e][f]`` dicts, one pair and one cell at a time,
 with the same arithmetic per cell as ``tagcopy.align``. The parity tests
 compare the array implementation against it; it is not used by the toolkit.
+``theta_from_rows`` and ``dict_model`` build the array types from such dicts.
 """
 
 import math
 
-from tagcopy.align import FORWARD, NULL_WORD
+import numpy as np
+
+from tagcopy.align import FORWARD, NULL_WORD, AlignModel, Theta
+
+
+def theta_from_rows(rows) -> Theta:
+    """The :class:`Theta` of a mapping ``e -> {f: probability}``."""
+    cond = sorted(rows)
+    emit = sorted({f for row in rows.values() for f in row})
+    emit_id = {f: k for k, f in enumerate(emit)}
+    keys, values = [], []
+    for r, e in enumerate(cond):
+        for f, p in sorted(rows[e].items()):
+            keys.append(r * len(emit) + emit_id[f])
+            values.append(p)
+    return Theta(cond, emit, np.array(keys, dtype=np.int64), np.array(values, dtype=np.float64))
+
+
+def dict_model(rows, *args, **kwargs) -> AlignModel:
+    """An :class:`AlignModel` over the theta of ``rows``; the other
+    arguments are AlignModel's."""
+    return AlignModel(theta_from_rows(rows), *args, **kwargs)
 
 
 def sides(pair, direction):
@@ -28,7 +50,7 @@ def prior_rows(m, n, tension, p0):
 
 
 def train(corpus, *, iterations=5, tension=4.0, p0=0.08, vb=False, alpha=0.01,
-          direction=FORWARD, on_iteration=None):
+          direction=FORWARD):
     """EM over the corpus; returns (theta, perplexity history)."""
     theta = {NULL_WORD: {}}
     for pair in corpus.pairs:
@@ -48,7 +70,7 @@ def train(corpus, *, iterations=5, tension=4.0, p0=0.08, vb=False, alpha=0.01,
     cache = {}
     history = []
     total_emitted = sum(len(sides(p, direction)[1]) for p in corpus.pairs)
-    for k in range(iterations):
+    for _ in range(iterations):
         counts = {e: dict.fromkeys(row, 0.0) for e, row in theta.items()}
         null_row = theta[NULL_WORD]
         null_counts = counts[NULL_WORD]
@@ -72,8 +94,6 @@ def train(corpus, *, iterations=5, tension=4.0, p0=0.08, vb=False, alpha=0.01,
                     counts[cond[i]][f] += scores[i] * inv
         history.append(math.exp(-loglik / total_emitted))
         _reestimate(theta, counts, vb, alpha)
-        if on_iteration is not None:
-            on_iteration(k, theta)
     return theta, history
 
 

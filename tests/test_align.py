@@ -12,13 +12,12 @@ from scipy.special import digamma
 
 import reference_cells
 from conftest import make_corpus
+from dict_aligner import dict_model, theta_from_rows
 from tagcopy.align import (
     FORWARD,
     NULL_WORD,
     PRUNE_RATIO,
     REVERSE,
-    AlignModel,
-    Theta,
     _Cells,
     align_corpus,
     check_links,
@@ -153,13 +152,12 @@ class TestTraining:
             train_alignment(make_corpus([("a", "x")]), **kwargs)
 
     def test_rows_normalized_every_iteration(self):
+        # EM is deterministic: k iterations give the model after the k-th M-step
         corpus = make_corpus(SPEC_PAIRS * 2)
-
-        def check(_k, model):
+        for k in range(1, 7):
+            model = train_alignment(corpus, iterations=k)
             for row in model.theta.values():
                 assert abs(sum(row.values()) - 1.0) <= 1e-9
-
-        train_alignment(corpus, iterations=6, on_iteration=check)
 
     def test_perplexity_history_non_increasing(self):
         corpus = make_corpus(SPEC_PAIRS * 3)
@@ -212,25 +210,25 @@ class TestTraining:
 
 class TestViterbi:
     def test_prefers_lexical_link_over_null(self):
-        model = AlignModel({"a": {"x": 0.9}, NULL_WORD: {"x": 0.1}}, tension=4.0, p0=0.08)
+        model = dict_model({"a": {"x": 0.9}, NULL_WORD: {"x": 0.1}}, tension=4.0, p0=0.08)
         corpus = make_corpus([("a", "x")])
         assert viterbi_align(model, corpus.pairs[0]) == {(0, 0)}
 
     def test_exact_tie_picks_smaller_position(self):
         # tension 0 makes the prior uniform, so equal theta means equal scores
-        model = AlignModel(
+        model = dict_model(
             {"a": {"x": 0.5}, "b": {"x": 0.5}, NULL_WORD: {"x": 0.01}}, tension=0.0, p0=0.1
         )
         assert viterbi_align(model, make_corpus([("a b", "x")]).pairs[0]) == {(0, 0)}
 
     def test_unseen_everywhere_falls_back_to_null(self):
-        model = AlignModel({"a": {"y": 1.0}, NULL_WORD: {"y": 1.0}}, tension=4.0, p0=0.08)
+        model = dict_model({"a": {"y": 1.0}, NULL_WORD: {"y": 1.0}}, tension=4.0, p0=0.08)
         assert viterbi_align(model, make_corpus([("a", "x")]).pairs[0]) == set()
 
     def test_empty_pair(self):
         from tagcopy.corpus import SentencePair
 
-        model = AlignModel({NULL_WORD: {}}, tension=4.0, p0=0.08)
+        model = dict_model({NULL_WORD: {}}, tension=4.0, p0=0.08)
         with pytest.raises(EmptyPair):
             viterbi_align(model, SentencePair([], ["x"], 0))
 
@@ -240,7 +238,7 @@ class TestViterbi:
         vocab_f = [f"f{i}" for i in range(8)]
         theta = {e: {f: rng.random() for f in vocab_f} for e in vocab_e}
         theta[NULL_WORD] = {f: rng.random() for f in vocab_f}
-        model = AlignModel(theta, tension=4.0, p0=0.08)
+        model = dict_model(theta, tension=4.0, p0=0.08)
         for _ in range(50):
             n, m = rng.randrange(1, 6), rng.randrange(1, 6)
             pair = make_corpus(
@@ -309,7 +307,7 @@ class TestSymmetrize:
 
 def test_theta_row_is_a_new_dict_in_f_order():
     rows = {"b": {"z": 0.25, "x": 0.75}, NULL_WORD: {"y": 1.0}, "a": {"y": 0.5, "w": 0.5}}
-    theta = Theta.from_rows(rows)
+    theta = theta_from_rows(rows)
     assert list(theta) == [NULL_WORD, "a", "b"] and len(theta) == 3
     for e, row in rows.items():
         assert type(theta[e]) is dict
@@ -318,8 +316,8 @@ def test_theta_row_is_a_new_dict_in_f_order():
     assert theta["a"]["w"] == 0.5
     with pytest.raises(KeyError):
         theta["c"]
-    model = AlignModel(rows, tension=4.0, p0=0.08)
-    assert (model.prob("b", "z"), model.prob("b", "y"), model.prob("c", "x")) == (0.25, 0.0, 0.0)
+    assert (theta["b"].get("z", 0.0), theta["b"].get("y", 0.0),
+            theta.get("c", {}).get("x", 0.0)) == (0.25, 0.0, 0.0)
 
 
 class TestCheckLinks:
@@ -337,22 +335,22 @@ class TestCheckLinks:
 
 class TestPerplexity:
     def test_deterministic_model_scores_one(self):
-        model = AlignModel({"a": {"x": 1.0}, NULL_WORD: {"x": 1.0}}, tension=4.0, p0=0.0)
+        model = dict_model({"a": {"x": 1.0}, NULL_WORD: {"x": 1.0}}, tension=4.0, p0=0.0)
         assert corpus_perplexity(model, make_corpus([("a", "x")])) == pytest.approx(1.0)
 
     def test_uniform_over_two_words_scores_two(self):
-        model = AlignModel(
+        model = dict_model(
             {"a": {"x": 0.5, "y": 0.5}, NULL_WORD: {"x": 0.5, "y": 0.5}}, tension=4.0, p0=0.0
         )
         assert corpus_perplexity(model, make_corpus([("a", "x")])) == pytest.approx(2.0)
 
     def test_zero_probability_reports_line(self):
-        model = AlignModel({"a": {"y": 1.0}, NULL_WORD: {"y": 1.0}}, tension=4.0, p0=0.0)
+        model = dict_model({"a": {"y": 1.0}, NULL_WORD: {"y": 1.0}}, tension=4.0, p0=0.0)
         with pytest.raises(ZeroProbability, match="line 0"):
             corpus_perplexity(model, make_corpus([("a", "x")]))
 
     def test_empty_corpus(self):
-        model = AlignModel({NULL_WORD: {}}, tension=4.0, p0=0.08)
+        model = dict_model({NULL_WORD: {}}, tension=4.0, p0=0.08)
         with pytest.raises(EmptyCorpus):
             corpus_perplexity(model, ParallelCorpus([]))
 
@@ -453,7 +451,7 @@ probability = st.integers(0, 12).flatmap(
     min_size=1,
 ))
 def test_prune_keeps_row_maxima_and_the_null_row(theta):
-    model = AlignModel(theta, tension=4.0, p0=0.08, perplexity_history=[3.0])
+    model = dict_model(theta, tension=4.0, p0=0.08, perplexity_history=[3.0])
     pruned = prune_model(model)
     assert (pruned.tension, pruned.p0, pruned.direction) == (4.0, 0.08, FORWARD)
     assert pruned.perplexity_history == [3.0]

@@ -250,6 +250,25 @@ class TestMalformedFiles:
         assert f"{bad}:{line}: " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["split", "detag", "link-annotate", "eval-bleu"])
+    def test_text_that_is_not_utf8_exits_2_naming_the_path(self, tmp_path, toy_dir, capsys,
+                                                          command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"a b\n\xff c\n")
+        out = str(tmp_path / "out")
+        argv = {
+            "split": ["split", "--src", str(bad), "--tgt", str(toy_dir / "tgt.zz"),
+                      "--n-valid", "0", "--n-test", "0", "--outdir", out],
+            "detag": ["detag", "--in", str(bad), "--method", "trans", "--out", out],
+            "link-annotate": ["link-annotate", "--src", str(bad), "--mode", "gazetteer",
+                              "--gazetteer", str(toy_dir / "gazetteer.tsv"), "--out", out],
+            "eval-bleu": ["eval-bleu", "--hyp", str(toy_dir / "tgt.zz"), "--ref", str(bad)],
+        }[command]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: not UTF-8 text" in err
+        assert "Traceback" not in err
+
 
 class TestLinkCommands:
     def test_annotate_gazetteer(self, prepared):
@@ -483,6 +502,31 @@ class TestEvalCommands:
         assert cli.main(["eval-copy", "--outputs", str(hyp), "--manifest", str(manifest)]) == 2
         err = capsys.readouterr().err
         assert f"{manifest}: line_no 5 outside the 2 output lines" in err
+        assert "Traceback" not in err
+
+    def test_a_line_holding_u2028_is_one_line(self, tmp_path, capsys):
+        hyp, ref = tmp_path / "hyp", tmp_path / "ref"
+        hyp.write_text("a\u2028b c d\ne f g h\n", encoding="utf-8")
+        ref.write_text("a b c d\ne f g h\n", encoding="utf-8")
+        assert cli.read_token_lines(hyp) == [["a", "b", "c", "d"], ["e", "f", "g", "h"]]
+        assert cli.main(["eval-bleu", "--hyp", str(hyp), "--ref", str(ref)]) == 0
+        assert "BLEU = 100.00" in capsys.readouterr().out
+
+    def test_eval_copy_names_the_manifest_when_it_needs_a_method(self, tmp_path, toy_dir,
+                                                                 capsys):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text("", encoding="utf-8")
+        argv = ["eval-copy", "--outputs", str(toy_dir / "tgt.zz"), "--manifest", str(manifest)]
+        assert cli.main(argv) == 2
+        assert f"--method is required: {manifest} has no records" in capsys.readouterr().err
+        vocab = {"start": "<s>", "mid1": "<m>", "mid2": "<n>", "end": "<e>"}
+        manifest.write_text("".join(
+            json.dumps({"line_no": k, "method": m, "tag_vocab": vocab, "bundles": []}) + "\n"
+            for k, m in enumerate(["tag", "hypa", "tag"])
+        ), encoding="utf-8")
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"--method is required: {manifest} mixes methods ['hypa', 'tag']" in err
         assert "Traceback" not in err
 
     def test_bleu_tag_only_needs_manifest(self, tmp_path, toy_dir, capsys):
@@ -747,6 +791,23 @@ class TestPipelineRun:
         }
         assert digests == self.TOY_DIGESTS
         assert len(list((workdir / "tagged").iterdir())) == 21
+
+    def test_benchmark_hooks_still_fit(self, tmp_path, toy_dir, monkeypatch):
+        # the benchmark wraps package functions by name and reads theta as a
+        # mapping; a traced toy run must still find them
+        perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+        monkeypatch.setattr(sys, "path", [str(perfbench), *sys.path])
+        import spans
+        import worker
+
+        config = write_config(tmp_path / "config.yaml", toy_dir, tmp_path / "run")
+        with spans.Tracer("hooks") as tracer:
+            worker.install(tracer)
+            assert cli.main(["pipeline-run", "--config", str(config)]) == 0
+        names = set(tracer.summary())
+        assert {"template.tag_corpus", "template.write_tagged", "align.train_alignment"} <= names
+        assert tracer.counters["align.theta_entries"] > 0
+        assert not hasattr(cli.main, "__wrapped__")  # leaving the tracer unwrapped it
 
     def test_single_method_override(self, tmp_path, toy_dir):
         workdir = tmp_path / "run"

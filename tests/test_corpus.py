@@ -1,15 +1,17 @@
 import random
+import re
 
 import pytest
 
 from tagcopy.corpus import (
     NormProfile,
+    read_lines,
     read_parallel,
     split_holdout,
     tokenize_normalize,
     write_parallel,
 )
-from tagcopy.errors import InsufficientData, LineCountMismatch
+from tagcopy.errors import InsufficientData, LineCountMismatch, MalformedFile
 
 
 class TestTokenizeNormalize:
@@ -97,6 +99,34 @@ class TestReadParallel:
         assert [p.tgt for p in again.pairs] == [p.tgt for p in corpus.pairs]
 
 
+# characters str.splitlines breaks at besides the newline; inside a line
+# they are whitespace to str.split
+NOT_NEWLINES = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+class TestReadLines:
+    @pytest.mark.parametrize("text, lines", [
+        ("", []), ("\n", [""]), ("a\nb", ["a", "b"]), ("a\nb\n", ["a", "b"]),
+        ("a\n\nb\n\n", ["a", "", "b", ""]), ("a\r\nb\rc\n", ["a", "b", "c"]),
+    ])
+    def test_lines_without_their_newlines(self, tmp_path, text, lines):
+        (tmp_path / "a").write_bytes(text.encode())
+        assert read_lines(tmp_path / "a") == lines
+
+    @pytest.mark.parametrize("char", NOT_NEWLINES)
+    def test_breaks_only_at_newlines(self, tmp_path, char):
+        (tmp_path / "a").write_text(f"x{char}y z\nw\n", encoding="utf-8")
+        (tmp_path / "b").write_text("1\n2\n", encoding="utf-8")
+        assert read_lines(tmp_path / "a") == [f"x{char}y z", "w"]
+        corpus = read_parallel(tmp_path / "a", tmp_path / "b")
+        assert [(p.src, p.line_no) for p in corpus.pairs] == [(["x", "y", "z"], 0), (["w"], 1)]
+
+    def test_not_utf8_names_the_path(self, tmp_path):
+        (tmp_path / "a").write_bytes(b"ok\n\xff\n")
+        with pytest.raises(MalformedFile, match="^" + re.escape(f"{tmp_path / 'a'}: not UTF-8")):
+            read_lines(tmp_path / "a")
+
+
 class TestSplitHoldout:
     def _tiny(self, tmp_path, n=10):
         (tmp_path / "a").write_text("".join(f"w{i} w{i}\n" for i in range(n)), encoding="utf-8")
@@ -107,7 +137,7 @@ class TestSplitHoldout:
         corpus = self._tiny(tmp_path)
         train, valid, test = split_holdout(corpus, 2, 2, seed=7)
         assert (len(train), len(valid), len(test)) == (6, 2, 2)
-        sets = [{p.line_no for p in part} for part in (train, valid, test)]
+        sets = [{p.line_no for p in part.pairs} for part in (train, valid, test)]
         assert sets[0] | sets[1] | sets[2] == set(range(10))
         assert not (sets[0] & sets[1] or sets[0] & sets[2] or sets[1] & sets[2])
 

@@ -38,12 +38,12 @@ class TestBuild:
     def test_unlinked_word_absent(self):
         corpus = make_corpus([("a b", "x y")])
         table = build_translation_table(corpus, [{(0, 0)}])
-        assert "b" not in table
+        assert "b" not in table.entries
 
     def test_min_count_filters(self):
         corpus = make_corpus([("a", "x"), ("b", "y"), ("b", "y")])
         table = build_translation_table(corpus, [{(0, 0)}, {(0, 0)}, {(0, 0)}], min_count=2)
-        assert "a" not in table
+        assert "a" not in table.entries
         assert table.entries["b"].count == 2
 
     def test_length_mismatch(self):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import manifest_from_tagged
+from conftest import manifest_from_selection
 from tagcopy.errors import (
     CountMismatch,
     EmptyCorpus,
@@ -158,8 +158,8 @@ class TestCopyAccuracy:
                                          toy_gold_alignments, toy_table):
         selected = select_bundles(toy_corpus, toy_annotations, toy_gold_alignments, toy_table)
         tagged = tag_corpus(toy_corpus, selected, M.TRANSA, SPECIAL_VOCAB)
-        manifest = manifest_from_tagged(tagged, SPECIAL_VOCAB)
-        outputs = [tp.tgt for tp in tagged]
+        manifest = manifest_from_selection(selected, M.TRANSA, SPECIAL_VOCAB)
+        outputs = [tgt for _, tgt in tagged]
         report = copy_accuracy(manifest, outputs, M.TRANSA)
         assert report.total > 0
         for component in ("entity", "translation", "hypernym"):

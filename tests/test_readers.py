@@ -9,17 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dict_aligner import dict_model
 from tagcopy.align import (
     FORWARD,
     NULL_WORD,
     REVERSE,
-    AlignModel,
     load_model,
     read_pharaoh,
     save_model,
     write_pharaoh,
 )
-from tagcopy.corpus import ParallelCorpus, SentencePair
+from tagcopy.corpus import ParallelCorpus, SentencePair, read_lines
 from tagcopy.errors import MalformedFile
 from tagcopy.lexicon import TableEntry, TranslationTable, load_table, save_table
 from tagcopy.link import (
@@ -40,6 +40,7 @@ from tagcopy.template import (
 )
 
 READERS = {
+    "lines": read_lines,
     "pharaoh": read_pharaoh,
     "model": load_model,
     "table": load_table,
@@ -251,9 +252,13 @@ def test_manifest_round_trips_tagged_bundles(scratch, inputs):
     files = [scratch.with_suffix(ext) for ext in (".src", ".tgt", ".jsonl")]
     for method in TemplateMethod:
         tagged = tag_corpus(corpus, selected, method, vocab)
-        write_tagged(tagged, *files, vocab)
+        write_tagged(tagged, selected, method, vocab, *files)
         entries = read_manifest(files[2])
-        assert [(row, tp.bundles) for row, tp in enumerate(tagged) if tp.bundles] == rows
+        # an untagged pair's row is the pair's own lists
+        assert all(tagged[k][0] is pair.src and tagged[k][1] is pair.tgt
+                   for k, pair in enumerate(corpus.pairs) if not selected[k])
+        for side, path in enumerate(files[:2]):
+            assert [line.split() for line in read_lines(path)] == [row[side] for row in tagged]
         assert [(e.line_no, e.bundles) for e in entries] == rows
         assert all(e.method is method and e.vocab == vocab for e in entries)
 
@@ -289,7 +294,7 @@ probability = st.floats(0.0, 1.0) | st.just(5e-324)
     p0=st.floats(0.0, 1.0, exclude_max=True),
 )
 def test_model_round_trips_bit_identical(scratch, theta, direction, tension, p0):
-    model = AlignModel(theta, tension, p0, direction)
+    model = dict_model(theta, tension, p0, direction)
     save_model(model, scratch)
     loaded = load_model(scratch)
     assert (loaded.direction, loaded.tension, loaded.p0) == (direction, tension, p0)

@@ -1,4 +1,5 @@
 import random
+from copy import deepcopy
 from dataclasses import replace
 
 import pytest
@@ -115,11 +116,13 @@ def _eligible_mention(tokens, start=0):
 
 
 def tag(corpus, annotations, alignments, table, method, vocab=SPECIAL_VOCAB):
-    return tag_corpus(corpus, select_bundles(corpus, annotations, alignments, table), method, vocab)
+    """The selection and the rows ``method`` renders from it."""
+    selected = select_bundles(corpus, annotations, alignments, table)
+    return selected, tag_corpus(corpus, selected, method, vocab)
 
 
-def tagged_count(tagged):
-    return sum(1 for tp in tagged if tp.bundles)
+def tagged_count(selected):
+    return sum(1 for bundles in selected if bundles)
 
 
 class TestTagCorpus:
@@ -134,13 +137,15 @@ class TestTagCorpus:
             ("even more text", "neve erom txet"),
         ])
         annotations = [[_eligible_mention(["myanmar"])], [], [], []]
-        tagged = tag(
+        selected, tagged = tag(
             corpus, annotations, self._identity_links(corpus), TranslationTable({}),
             M.TAG, PLAIN_VOCAB,
         )
-        assert tagged_count(tagged) == 1
-        assert tagged_count(tagged) / len(tagged) == pytest.approx(0.25)
-        assert tagged[0].bundles and not tagged[1].bundles
+        assert tagged_count(selected) == 1
+        assert tagged_count(selected) / len(tagged) == pytest.approx(0.25)
+        assert selected[0] and not selected[1]
+        assert tagged[0][0] != corpus.pairs[0].src
+        assert tagged[1] == (corpus.pairs[1].src, corpus.pairs[1].tgt)
 
     def test_rejected_projection_untags_pair_for_every_method(self):
         corpus = make_corpus([("myanmar was", "saw ramnaym")])
@@ -150,8 +155,7 @@ class TestTagCorpus:
         assert selected == [[]]
         for method in (M.BASELINE,) + TAGGED_METHODS:
             tagged = tag_corpus(corpus, selected, method, PLAIN_VOCAB)
-            assert tagged_count(tagged) == 0
-            assert tagged[0].src == corpus.pairs[0].src
+            assert tagged == [(corpus.pairs[0].src, corpus.pairs[0].tgt)]
 
     def test_missing_uri_or_hypernym_is_ineligible(self):
         corpus = make_corpus([("myanmar was", "ramnaym saw")])
@@ -159,8 +163,8 @@ class TestTagCorpus:
         no_uri = EntityMention(0, 1, ["myanmar"], "", ["state"])
         no_hyp = EntityMention(0, 1, ["myanmar"], "kb:M", None)
         for mention in (no_uri, no_hyp):
-            tagged = tag(corpus, [[mention]], links, TranslationTable({}), M.TAG, PLAIN_VOCAB)
-            assert tagged_count(tagged) == 0
+            selected, _ = tag(corpus, [[mention]], links, TranslationTable({}), M.TAG, PLAIN_VOCAB)
+            assert tagged_count(selected) == 0
 
     def test_two_mentions_render_in_order(self):
         corpus = make_corpus([("myanmar met gambia today", "ramnaym tem aibmag yadot")])
@@ -168,32 +172,32 @@ class TestTagCorpus:
             _eligible_mention(["gambia"], start=2),
             _eligible_mention(["myanmar"], start=0),
         ]]
-        tagged = tag(
+        selected, tagged = tag(
             corpus, annotations, self._identity_links(corpus), TranslationTable({}),
             M.TAG, PLAIN_VOCAB,
         )
-        src = tagged[0].src
+        src = tagged[0][0]
         assert src == "<start> myanmar <end> met <start> gambia <end> today".split()
         regions = extract_regions(src, PLAIN_VOCAB)
         assert regions == [["myanmar"], ["gambia"]]
-        assert len(tagged[0].bundles) == 2
-        assert [b.src_span for b in tagged[0].bundles] == [[0, 1], [2, 3]]
+        assert len(selected[0]) == 2
+        assert [b.src_span for b in selected[0]] == [[0, 1], [2, 3]]
 
     def test_hypernym_translation_is_all_or_nothing(self):
         corpus = make_corpus([("osaka grew", "akaso werg")])
         mention = EntityMention(0, 1, ["osaka"], "kb:O", ["port", "city"])
         partial = TranslationTable({"port": TableEntry("trop", 1, 1.0)})
-        tagged = tag(
+        selected, _ = tag(
             corpus, [[mention]], self._identity_links(corpus), partial, M.HYPA, PLAIN_VOCAB
         )
-        assert tagged[0].bundles[0].hypernym_tgt == ["port", "city"]  # source fallback
+        assert selected[0][0].hypernym_tgt == ["port", "city"]  # source fallback
         full = TranslationTable({
             "port": TableEntry("trop", 1, 1.0), "city": TableEntry("ytic", 1, 1.0),
         })
-        tagged = tag(
+        selected, _ = tag(
             corpus, [[mention]], self._identity_links(corpus), full, M.HYPA, PLAIN_VOCAB
         )
-        assert tagged[0].bundles[0].hypernym_tgt == ["trop", "ytic"]
+        assert selected[0][0].hypernym_tgt == ["trop", "ytic"]
 
     def test_length_mismatch(self):
         corpus = make_corpus([("a", "x")])
@@ -228,16 +232,27 @@ class TestTagCorpus:
             select_bundles(corpus, [[], [mention]], links, TranslationTable({}))
 
     def test_method_parity_on_toy(self, toy_corpus, toy_annotations, toy_gold_alignments, toy_table):
+        # each tagged method rewrites exactly the selected lines, baseline none
         selected = select_bundles(toy_corpus, toy_annotations, toy_gold_alignments, toy_table)
-        tagged_sets = []
+        lines = {pair.line_no for pair, bundles in zip(toy_corpus.pairs, selected) if bundles}
+        assert tagged_count(selected) / len(toy_corpus.pairs) == pytest.approx(0.25)
         for method in (M.BASELINE,) + TAGGED_METHODS:
-            tagged = tag_corpus(toy_corpus, selected, method)
-            tagged_sets.append({
-                (tp.line_no, *b.src_span)
-                for tp in tagged for b in tp.bundles
-            })
-            assert tagged_count(tagged) / len(tagged) == pytest.approx(0.25)
-        assert all(s == tagged_sets[0] for s in tagged_sets[1:])
+            rows = tag_corpus(toy_corpus, selected, method)
+            rewritten = {pair.line_no for pair, row in zip(toy_corpus.pairs, rows)
+                         if row != (pair.src, pair.tgt)}
+            assert rewritten == (set() if method is M.BASELINE else lines), method
+
+    def test_rendering_never_changes_the_corpus(
+        self, tmp_path, toy_corpus, toy_annotations, toy_gold_alignments, toy_table
+    ):
+        # untagged rows share the pairs' lists, so writing them must not touch them
+        before = deepcopy(toy_corpus)
+        selected = select_bundles(toy_corpus, toy_annotations, toy_gold_alignments, toy_table)
+        paths = [tmp_path / name for name in ("t.src", "t.tgt", "t.jsonl")]
+        for method in TemplateMethod:
+            rows = tag_corpus(toy_corpus, selected, method)
+            write_tagged(rows, selected, method, SPECIAL_VOCAB, *paths)
+        assert toy_corpus == before
 
 
 class TestDetag:
@@ -450,18 +465,19 @@ class TestVocabulary:
 class TestManifest:
     def test_write_read_round_trip(self, tmp_path, toy_corpus, toy_annotations,
                                    toy_gold_alignments, toy_table):
-        tagged = tag(toy_corpus, toy_annotations, toy_gold_alignments, toy_table, M.TRANSA)
-        write_tagged(
-            tagged, tmp_path / "t.src", tmp_path / "t.tgt", tmp_path / "t.jsonl", SPECIAL_VOCAB
+        selected, tagged = tag(
+            toy_corpus, toy_annotations, toy_gold_alignments, toy_table, M.TRANSA
         )
+        write_tagged(tagged, selected, M.TRANSA, SPECIAL_VOCAB,
+                     tmp_path / "t.src", tmp_path / "t.tgt", tmp_path / "t.jsonl")
         entries = read_manifest(tmp_path / "t.jsonl")
-        assert len(entries) == tagged_count(tagged) > 0
+        assert len(entries) == tagged_count(selected) > 0
         by_line = {e.line_no: e for e in entries}
-        for row, tp in enumerate(tagged):
-            if not tp.bundles:
+        for row, bundles in enumerate(selected):
+            if not bundles:
                 assert row not in by_line
                 continue
             entry = by_line[row]
             assert entry.method is M.TRANSA
             assert entry.vocab == SPECIAL_VOCAB
-            assert entry.bundles == tp.bundles
+            assert entry.bundles == bundles
