@@ -5,14 +5,18 @@ Generates an N-pair corpus with ``perfbench/gen.py`` (the prep workload's
 gazetteer linker and all 7 methods) in a temporary directory, runs
 ``pipeline-run`` on it in a fresh Python process, and prints for that run:
 wall time, CPU time of the run's process and of its child processes, and
-peak RSS of the run's process and, separately, of its largest child.
-``pipeline-run`` aligns the reverse direction in a forked child, so the
-memory the run holds at once is at most the two peaks added. Nothing is
-kept and nothing under ``perfbench/`` is written.
+peak RSS of the run's process and, separately, of its largest child,
+and the sha256 of the run's ``stage_manifest.json``. ``pipeline-run``
+aligns the reverse direction in a forked child, so the memory the run
+holds at once is at most the two peaks added. The manifest hashes every
+artifact, so two checkouts made the same files at N pairs when their
+probes print the same sha256. Nothing is kept and nothing under
+``perfbench/`` is written.
 
 Usage: python scripts/scale_probe.py N [SEED]
 """
 
+import hashlib
 import json
 import resource
 import subprocess
@@ -68,6 +72,8 @@ def main(argv) -> int:
             [sys.executable, __file__, "--measure", str(config), str(fx / "out")],
             capture_output=True, text=True,
         )
+        manifest = fx / "out" / "stage_manifest.json"  # read before the directory goes
+        digest = hashlib.sha256(manifest.read_bytes()).hexdigest() if manifest.exists() else ""
     result = json.loads(run.stdout.splitlines()[-1]) if run.returncode == 0 else {}
     if result.get("exit") != 0:
         print(run.stderr, end="", file=sys.stderr)
@@ -77,6 +83,7 @@ def main(argv) -> int:
     print(f"wall_s        {result['wall_s']:8.2f}")
     print(f"cpu_s         {me['cpu_s']:8.2f} self  {kids['cpu_s']:8.2f} children")
     print(f"peak_rss_mb   {me['peak_rss_mb']:8.1f} self  {kids['peak_rss_mb']:8.1f} children")
+    print(f"manifest      sha256 {digest}")
     return 0
 
 

@@ -11,13 +11,11 @@ import argparse
 import hashlib
 import json
 import logging
+import multiprocessing
 import operator
 import os
-import pickle
-import signal
 import sys
-import traceback
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from . import align, lexicon, link, metrics, template
@@ -39,7 +37,8 @@ from .corpus import (
     tokenize_normalize,
     write_parallel,
 )
-from .errors import ConfigError, CountMismatch, LengthMismatch, MalformedFile, ToolkitError
+from .errors import (ConfigError, CountMismatch, EmptyCorpus, LengthMismatch, MalformedFile,
+                     ToolkitError)
 
 log = logging.getLogger(__name__)
 
@@ -132,35 +131,31 @@ class ChildDied(OSError):
 
 @contextmanager
 def _forked(what: str, job, *args):
-    """Run ``job(*args)`` in a forked child while the block runs, and yield
-    a function that waits for the child and returns the job's result, or
-    raises the ToolkitError or OSError the job raised; ``what`` names the job
-    when the child ends without a result (ChildDied). The child inherits its
-    inputs, so nothing is pickled into it; the result comes back pickled
-    through a pipe. The child is always reaped: leaving the block before
-    asking for the result kills it. Without ``os.fork`` the job runs
-    in-process when its result is asked for.
+    """Run ``job(*args)`` in a child forked by multiprocessing while the
+    block runs, and yield a function that waits for it and returns the job's
+    result or raises its ToolkitError or OSError; ChildDied, naming ``what``,
+    if it ends without a result. Only the result is sent: the child
+    inherits its inputs. Leaving the block first kills the child, which is
+    always joined. Without ``os.fork`` the job runs in-process when asked.
     """
     if not hasattr(os, "fork"):
         yield lambda: job(*args)
         return
-    read_fd, write_fd = os.pipe()
-    with os.fdopen(read_fd, "rb") as pipe, os.fdopen(write_fd, "wb") as out:
-        pid = os.fork()
-        if pid == 0:
-            _child(job, args, out)
-        out.close()  # the child holds the only write end, so its exit ends the read
-        reaped = False
+    context = multiprocessing.get_context("fork")  # by name: other methods serialize the inputs
+    receive, send = context.Pipe(duplex=False)
+    with receive, send:
+        child = context.Process(target=_child, args=(send, job, args))
+        child.start()
+        send.close()  # the child holds the only send end, so its exit ends a receive
 
         def result():
-            nonlocal reaped
-            data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            reaped = True
-            if code != 0 or not data:  # the child exits 0 once the result is sent
+            ok = value = None
+            with suppress(EOFError):  # the child ended without sending
+                ok, value = receive.recv()
+            child.join()
+            if ok is None or child.exitcode != 0:  # the child exits 0 once the result is sent
                 raise ChildDied(f"the process running the {what} ended without a result "
-                                f"(exit code {code})")
-            ok, value = pickle.loads(data)
+                                f"(exit code {child.exitcode})")
             if not ok:
                 raise value
             return value
@@ -168,28 +163,17 @@ def _forked(what: str, job, *args):
         try:
             yield result
         finally:
-            if not reaped:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+            child.kill()  # a no-op once the child is joined
+            child.join()
 
 
-def _child(job, args, out) -> None:
-    """The forked child: run the job, send ``(True, result)`` or ``(False,
-    error)`` to ``out`` and end with ``os._exit``, so nothing of the
-    parent's clean-up runs twice."""
-    code = 1
+def _child(send, job, args) -> None:
+    """Send ``(True, result)`` or ``(False, error)``; multiprocessing prints
+    any other exception, a bug, and exits 1 without a result."""
     try:
-        try:
-            reply = (True, job(*args))
-        except (ToolkitError, OSError) as exc:
-            reply = (False, exc)
-        pickle.dump(reply, out, protocol=pickle.HIGHEST_PROTOCOL)
-        out.close()
-        code = 0
-    except Exception:  # a bug: report it; the parent sees no result
-        traceback.print_exc()
-    finally:
-        os._exit(code)
+        send.send((True, job(*args)))
+    except (ToolkitError, OSError) as exc:
+        send.send((False, exc))
 
 
 def _symmetrize_and_write(fwd, rev, heuristic: str, path) -> list[set[tuple[int, int]]]:
@@ -393,16 +377,22 @@ def cmd_eval_bleu(args) -> int:
     return 0
 
 
+def _scored_manifest(path) -> list[template.ManifestEntry]:
+    if manifest := template.read_manifest(path):
+        return manifest
+    raise EmptyCorpus(f"{path} has no records: nothing to score")
+
+
 def cmd_eval_copy(args) -> int:
-    manifest = template.read_manifest(args.manifest)
+    manifest = _scored_manifest(args.manifest)
     methods = {entry.method for entry in manifest}
     if args.method:
         method = parse_method(args.method)
     elif len(methods) == 1:
         method = methods.pop()
     else:
-        found = f"mixes methods {sorted(m.value for m in methods)}" if methods else "has no records"
-        raise ConfigError(f"--method is required: {args.manifest} {found}")
+        raise ConfigError(f"--method is required: {args.manifest} mixes methods "
+                          f"{sorted(m.value for m in methods)}")
     outputs = read_token_lines(args.outputs)
     with _naming(args.manifest, CountMismatch):
         report = metrics.copy_accuracy(manifest, outputs, method)
@@ -413,7 +403,7 @@ def cmd_eval_copy(args) -> int:
 
 
 def cmd_eval_pos(args) -> int:
-    manifest = template.read_manifest(args.manifest)
+    manifest = _scored_manifest(args.manifest)
     system_outputs = read_token_lines(args.system)
     baseline_outputs = read_token_lines(args.baseline)
     references = read_token_lines(args.ref)

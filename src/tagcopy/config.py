@@ -19,7 +19,7 @@ import yaml
 
 from .align import HEURISTICS
 from .corpus import NormProfile
-from .errors import ConfigError
+from .errors import ConfigError, MalformedFile
 from .template import PLAIN_VOCAB, SPECIAL_VOCAB, TAGGED_METHODS, TagVocabulary, TemplateMethod
 
 
@@ -142,8 +142,15 @@ def check_linker(linker: LinkerParams) -> None:
 
 def load_config(path) -> PipelineConfig:
     """Parse and validate the YAML config; every complaint names its field."""
-    with open(path, encoding="utf-8") as f:
-        data = yaml.safe_load(f)
+    try:
+        with open(path, encoding="utf-8") as f:
+            data = yaml.safe_load(f)
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)  # a syntax error knows its line
+        where = f"{path}:{mark.line + 1}" if mark else path
+        raise MalformedFile(f"{where}: not YAML ({getattr(exc, 'problem', None) or exc})") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a YAML mapping at the top level")
     for key in data:

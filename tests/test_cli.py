@@ -518,7 +518,7 @@ class TestEvalCommands:
         manifest.write_text("", encoding="utf-8")
         argv = ["eval-copy", "--outputs", str(toy_dir / "tgt.zz"), "--manifest", str(manifest)]
         assert cli.main(argv) == 2
-        assert f"--method is required: {manifest} has no records" in capsys.readouterr().err
+        assert f"{manifest} has no records: nothing to score" in capsys.readouterr().err
         vocab = {"start": "<s>", "mid1": "<m>", "mid2": "<n>", "end": "<e>"}
         manifest.write_text("".join(
             json.dumps({"line_no": k, "method": m, "tag_vocab": vocab, "bundles": []}) + "\n"
@@ -528,6 +528,22 @@ class TestEvalCommands:
         err = capsys.readouterr().err
         assert f"--method is required: {manifest} mixes methods ['hypa', 'tag']" in err
         assert "Traceback" not in err
+
+    def test_an_empty_manifest_has_nothing_to_score(self, tmp_path, toy_dir, capsys):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text("", encoding="utf-8")
+        tgt = str(toy_dir / "tgt.zz")
+        for argv in (
+            ["eval-copy", "--outputs", tgt, "--manifest", str(manifest), "--method", "tag"],
+            ["eval-pos", "--system", tgt, "--baseline", tgt, "--manifest", str(manifest),
+             "--pos", str(toy_dir / "pos.en"), "--alignments", str(toy_dir / "gold.align"),
+             "--ref", tgt, "--src", str(toy_dir / "src.en")],
+        ):
+            assert cli.main(argv) == 2, argv[0]
+            captured = capsys.readouterr()
+            assert f"error: {manifest} has no records: nothing to score" in captured.err
+            assert captured.out == ""
+            assert "Traceback" not in captured.err
 
     def test_bleu_tag_only_needs_manifest(self, tmp_path, toy_dir, capsys):
         argv = ["eval-bleu", "--hyp", str(toy_dir / "tgt.zz"), "--ref", str(toy_dir / "tgt.zz"),
@@ -912,6 +928,30 @@ class TestForkedReverseDirection:
         assert "the tgt-src alignment ended without a result (exit code 3)" in err
         assert "Traceback" not in err
 
+    def test_a_bug_in_the_child_exits_2_with_exit_code_1(self, tmp_path, toy_dir, capsys,
+                                                          monkeypatch):
+        def bug():
+            raise RuntimeError("reverse bug")
+
+        self._patch_train(monkeypatch, reverse=bug)
+        assert self._run(tmp_path, toy_dir) == 2
+        err = capsys.readouterr().err
+        assert "error: the process running the tgt-src alignment ended without a result " \
+               "(exit code 1)" in err
+
+    def test_the_child_inherits_its_inputs(self):
+        class Unpicklable:
+            value = 41
+
+            def __reduce__(self):
+                raise TypeError("not to be pickled")
+
+        def job(thing, extra):
+            return thing.value + extra
+
+        with cli._forked("test job", job, Unpicklable(), 1) as result:
+            assert result() == 42
+
     def test_without_fork_the_tree_is_byte_identical(self, tmp_path, toy_dir, monkeypatch):
         trees = {}
         for name in ("forked", "in-process"):
@@ -1079,6 +1119,18 @@ class TestConfig:
         path.write_text(f"src: {toy_dir / 'src.en'}\nworkdir: w\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="missing required key: tgt"):
             load_config(path)
+
+    @pytest.mark.parametrize("text, message", [
+        (b"src: a\n\xffgt: b\n", ": not UTF-8 text (invalid start byte)"),
+        (b"src: a\na: [1\n", ":3: not YAML (expected ',' or ']', but got '<stream end>')"),
+    ])
+    def test_a_config_that_is_not_yaml_exits_2(self, tmp_path, capsys, text, message):
+        config = tmp_path / "c.yaml"
+        config.write_bytes(text)
+        assert cli.main(["pipeline-run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {config}{message}" in err
+        assert "Traceback" not in err
 
     def test_unknown_key(self, tmp_path, toy_dir):
         config = write_config(tmp_path / "c.yaml", toy_dir, tmp_path / "w", typo="x")
