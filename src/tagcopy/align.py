@@ -449,14 +449,18 @@ def symmetrize_links(
     heuristic: str = "grow-diag-final-and",
 ) -> set[tuple[int, int]]:
     """Combine the forward (src->tgt) and reverse (tgt->src) link sets of
-    one sentence pair into one (src, tgt) link set."""
+    one sentence pair into one (src, tgt) link set, a new set."""
+    if heuristic not in HEURISTICS:
+        raise InvalidParams(f"unknown symmetrization heuristic {heuristic!r}")
+    if fwd_links == rev_links:
+        # intersection and union are the links, and grow and final-and find
+        # no union link outside them: every heuristic returns them
+        return set(fwd_links)
     if heuristic == "intersection":
         return fwd_links & rev_links
     if heuristic == "union":
         return fwd_links | rev_links
-    if heuristic == "grow-diag-final-and":
-        return _grow_diag_final_and(fwd_links, rev_links)
-    raise InvalidParams(f"unknown symmetrization heuristic {heuristic!r}")
+    return _grow_diag_final_and(fwd_links, rev_links)
 
 
 _NEIGHBORS = ((-1, 0), (0, -1), (1, 0), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1))

@@ -11,7 +11,6 @@ import argparse
 import hashlib
 import json
 import logging
-import multiprocessing
 import operator
 import os
 import sys
@@ -125,6 +124,12 @@ def _align_direction(corpus, params: AlignerParams, direction: str, model_path, 
     return _decode_and_write(model, corpus, align_path), model.perplexity_history
 
 
+def _align_reverse(corpus, params: AlignerParams, model_path, align_path) -> list[float]:
+    """The reverse direction as a forked job: it sends back only its
+    perplexity history, and the parent reads the links from ``align_path``."""
+    return _align_direction(corpus, params, align.REVERSE, model_path, align_path)[1]
+
+
 class ChildDied(OSError):
     """A forked stage process ended without sending its result."""
 
@@ -141,6 +146,8 @@ def _forked(what: str, job, *args):
     if not hasattr(os, "fork"):
         yield lambda: job(*args)
         return
+    import multiprocessing  # here: only pipeline-run forks
+
     context = multiprocessing.get_context("fork")  # by name: other methods serialize the inputs
     receive, send = context.Pipe(duplex=False)
     with receive, send:
@@ -197,15 +204,29 @@ def _make_annotator(linker: LinkerParams):
     return lambda sentences: link.annotate_corpus(client, sentences)
 
 
-def _annotate_and_write(src_path, profile, linker: LinkerParams, resolver, path) -> dict:
-    """Annotate every source line that is not empty after normalization,
-    whether or not its pair survives ``read_parallel``, fill missing
-    hypernyms from ``resolver`` if one is given, and write one row per
-    line. Returns the mentions by line number."""
+def _read_sources(src_path, profile) -> dict:
+    """The source lines that are not empty after normalization, by line
+    number: the lines the link stage annotates."""
     sentences = {}
     for i, raw in enumerate(read_lines(src_path)):
         if tokens := tokenize_normalize(raw, profile):
             sentences[i] = tokens
+    return sentences
+
+
+def _corpus_sources(corpus) -> dict:
+    """What :func:`_read_sources` reads from the corpus's source file, made
+    from the lines ``read_parallel`` normalized: the kept pairs' sources and
+    the dropped pairs' that are not empty, in line order."""
+    sentences = {pair.line_no: pair.src for pair in corpus.pairs} | corpus.dropped_src
+    return dict(sorted(sentences.items()))
+
+
+def _annotate_and_write(sentences: dict, linker: LinkerParams, resolver, path) -> dict:
+    """Annotate the normalized source ``sentences``, by line number, whether
+    or not their pairs survive ``read_parallel``, fill missing hypernyms
+    from ``resolver`` if one is given, and write one row per line. Returns
+    the mentions by line number."""
     by_line = dict(zip(sentences, _make_annotator(linker)(list(sentences.values()))))
     if resolver is not None:
         link.fill_hypernyms(by_line.values(), resolver)
@@ -220,9 +241,14 @@ def _tag_and_write(corpus, by_line: dict, alignments, table, vocab, outputs: dic
     which every method renders."""
     annotations = [by_line.get(pair.line_no, []) for pair in corpus.pairs]
     selected = template.select_bundles(corpus, annotations, alignments, table)
+    # every method writes the untagged lines and the bundles' JSON alike:
+    # for several methods they are made once, for one as they are written
+    shared = template.shared_lines(((p.src, p.tgt) for p in corpus.pairs), selected)
+    if len(outputs) > 1:
+        shared = list(shared)
     for method, paths in outputs.items():
         rows = template.tag_corpus(corpus, selected, method, vocab)
-        template.write_tagged(rows, selected, method, vocab, *paths)
+        template.write_tagged(rows, shared, method, vocab, *paths)
     total = len(selected)
     tagged = sum(1 for bundles in selected if bundles)
     return {"total_pairs": total, "tagged_pairs": tagged,
@@ -285,7 +311,8 @@ def cmd_link_annotate(args) -> int:
     linker = LinkerParams(mode=args.mode, gazetteer=args.gazetteer, confidence=args.confidence,
                           endpoint=args.endpoint or os.environ.get("LINKER_ENDPOINT"))
     check_linker(linker)
-    by_line = _annotate_and_write(args.src, _profile(args), linker, None, args.out)
+    by_line = _annotate_and_write(_read_sources(args.src, _profile(args)), linker, None,
+                                  args.out)
     n = sum(1 for m in by_line.values() if m)
     print(f"annotated {n}/{len(by_line)} sentences with at least one mention")
     return 0
@@ -469,38 +496,41 @@ def cmd_pipeline_run(args) -> int:
         log.info("[corpus] %d pairs (%d dropped)", len(corpus), corpus.dropped_count)
 
         stage = "align"
-        # the reverse direction runs in a child while this process runs the
-        # forward one; numpy is imported first, so the child shares it
+        # the reverse direction runs in a child while this process aligns the
+        # forward one and then, as it reads no alignment, runs the link stage;
+        # numpy is imported first, so the child shares it
         import numpy  # noqa: F401
         fwd_paths = artifact("align/model.fwd.tsv"), artifact("align/fwd.align")
         rev_paths = artifact("align/model.rev.tsv"), artifact("align/rev.align")
-        with _forked(f"{align.REVERSE} alignment", _align_direction, corpus, cfg.aligner,
-                     align.REVERSE, *rev_paths) as rev:
+        with _forked(f"{align.REVERSE} alignment", _align_reverse, corpus, cfg.aligner,
+                     *rev_paths) as rev:
             fwd_links, history = _align_direction(corpus, cfg.aligner, align.FORWARD, *fwd_paths)
             _log_perplexity(history)
-            rev_links, history = rev()
-            _log_perplexity(history)
+
+            stage = "link"
+            hypernyms = cfg.linker.hypernyms
+            resolver = link.OfflineHypernyms.from_tsv(hypernyms) if hypernyms else None
+            by_line = _annotate_and_write(
+                _corpus_sources(corpus), cfg.linker, resolver, artifact("link/annotations.jsonl")
+            )
+
+            stage = "align"
+            _log_perplexity(rev())
         sym = _symmetrize_and_write(
-            fwd_links, rev_links, cfg.aligner.heuristic, artifact("align/sym.align")
+            fwd_links, align.read_pharaoh(rev_paths[1]), cfg.aligner.heuristic,
+            artifact("align/sym.align"),
         )
 
         stage = "lexicon"
         table = _build_and_save_table(corpus, sym, cfg.min_count, artifact("lexicon/table.tsv"))
         log.info("[lexicon] %d entries", len(table))
 
-        stage = "link"
-        hypernyms = cfg.linker.hypernyms
-        resolver = link.OfflineHypernyms.from_tsv(hypernyms) if hypernyms else None
-        by_line = _annotate_and_write(
-            cfg.src, cfg.profile, cfg.linker, resolver, artifact("link/annotations.jsonl")
-        )
-
         stage = "tag"
         outputs = {method: [artifact(f"tagged/{method.value}.{x}")
                             for x in ("src", "tgt", "manifest.jsonl")] for method in cfg.methods}
         stats = _tag_and_write(corpus, by_line, sym, table, cfg.vocab, outputs)
         log.info("[tag] %d/%d pairs tagged", stats["tagged_pairs"], stats["total_pairs"])
-    except ToolkitError as exc:
+    except (ToolkitError, ChildDied) as exc:
         exc.args = (f"[{stage}] {exc}",)
         raise
 

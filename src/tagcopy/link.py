@@ -45,6 +45,7 @@ class Gazetteer:
                 raise InvalidParams("gazetteer entries must have a non-empty surface")
         self.entries = dict(entries)
         self.max_len = max((len(k) for k in entries), default=0)
+        self.starts = {k[0] for k in entries}  # a match can only begin at one of these
 
     @classmethod
     def from_tsv(cls, path) -> "Gazetteer":
@@ -68,6 +69,9 @@ def annotate_gazetteer(sentence: TokenSeq, gazetteer: Gazetteer) -> list[EntityM
     n = len(sentence)
     while i < n:
         matched = 0
+        if sentence[i] not in gazetteer.starts:
+            i += 1
+            continue
         for width in range(min(gazetteer.max_len, n - i), 0, -1):
             key = tuple(sentence[i:i + width])
             if key in gazetteer.entries:

@@ -247,15 +247,17 @@ def tag_corpus(
 ) -> list[tuple[TokenSeq, TokenSeq]]:
     """Render one method over the bundles :func:`select_bundles` chose for
     ``corpus``: one ``(src, tgt)`` token row per pair, each bundle rendered
-    right to left so earlier spans keep their indices. Rendering builds new
-    lists, so an untagged pair's row is the pair's own lists, unchanged."""
+    right to left so earlier spans keep their indices. Only tagged pairs
+    are rendered, into new lists; an untagged pair's row is the pair's own
+    lists, unchanged."""
     rows = []
     for pair, bundles in zip(corpus.pairs, selected, strict=True):
         src, tgt = pair.src, pair.tgt
-        for b in reversed(bundles):
-            src = render_source_template(method, b, src, vocab)
-        for b in sorted(bundles, key=lambda b: b.tgt_span[0], reverse=True):
-            tgt = render_target_template(method, b, tgt, vocab)
+        if bundles:
+            for b in reversed(bundles):
+                src = render_source_template(method, b, src, vocab)
+            for b in sorted(bundles, key=lambda b: b.tgt_span[0], reverse=True):
+                tgt = render_target_template(method, b, tgt, vocab)
         rows.append((src, tgt))
     return rows
 
@@ -381,35 +383,57 @@ class ManifestEntry:
     bundles: list[BundleRecord]
 
 
+_to_json = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps(x, ensure_ascii=False)
+
+
+def shared_lines(rows, selected: list[list[BundleRecord]]):
+    """Per pair, what every method writes for it alike: an untagged pair's
+    ``(src, tgt)`` lines, joined from its row, or a tagged pair's bundle
+    list as manifest JSON. ``rows`` may be any method's :func:`tag_corpus`
+    rows of ``selected``, or the pairs' own ``(src, tgt)`` lists: they
+    differ only where a pair is tagged. A generator, made as it is read; a
+    list of it serves every method."""
+    for (src, tgt), bundles in zip(rows, selected, strict=True):
+        if bundles:
+            yield _to_json([vars(b) for b in bundles])
+        else:
+            yield " ".join(src) + "\n", " ".join(tgt) + "\n"
+
+
 def write_tagged(
     rows: list[tuple[TokenSeq, TokenSeq]],
-    selected: list[list[BundleRecord]],
+    shared,
     method: TemplateMethod,
     vocab: TagVocabulary,
     src_path,
     tgt_path,
     manifest_path,
 ) -> None:
-    """Write the rows :func:`tag_corpus` rendered from ``selected`` as the
-    tagged parallel files, plus the manifest of the tagged rows.
+    """Write the rows :func:`tag_corpus` rendered as the tagged parallel
+    files, plus the manifest of the tagged rows, line by line. ``shared``
+    is :func:`shared_lines` of the same selection: a list made once when
+    several methods are written, or the generator, made as it is written.
 
     Manifest line_no refers to the row index in the emitted files (the
     files the external translation system reads and answers line by line).
+    Each record is ``json.dumps(record, ensure_ascii=False)`` of
+    ``{"line_no", "method", "tag_vocab", "bundles"}``, written around the
+    bundles' shared JSON.
     """
-    with open(src_path, "w", encoding="utf-8") as fs, open(tgt_path, "w", encoding="utf-8") as ft:
-        for src, tgt in rows:
-            fs.write(" ".join(src) + "\n")
-            ft.write(" ".join(tgt) + "\n")
-    with open(manifest_path, "w", encoding="utf-8") as f:
-        for row, bundles in enumerate(selected):
-            if bundles:
-                record = {
-                    "line_no": row,
-                    "method": method.value,
-                    "tag_vocab": vars(vocab),
-                    "bundles": [vars(b) for b in bundles],
-                }
-                f.write(json.dumps(record, ensure_ascii=False) + "\n")
+    # the record's text between its line_no and its bundles
+    middle = (f', "method": {_to_json(method.value)}, "tag_vocab": {_to_json(vars(vocab))}, '
+              '"bundles": ')
+    with (open(src_path, "w", encoding="utf-8") as fs,
+          open(tgt_path, "w", encoding="utf-8") as ft,
+          open(manifest_path, "w", encoding="utf-8") as fm):
+        for row, ((src, tgt), text) in enumerate(zip(rows, shared, strict=True)):
+            if isinstance(text, tuple):  # untagged: the pair's own lines
+                fs.write(text[0])
+                ft.write(text[1])
+            else:
+                fs.write(" ".join(src) + "\n")
+                ft.write(" ".join(tgt) + "\n")
+                fm.write(f'{{"line_no": {row}{middle}{text}}}\n')
 
 
 def _bundle(fields: dict) -> BundleRecord:

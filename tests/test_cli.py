@@ -896,7 +896,10 @@ class TestForkedReverseDirection:
         assert "error: [align] reverse refused" in err
         assert "Traceback" not in err
 
-    def test_forward_error_kills_the_child(self, tmp_path, toy_dir, capsys, monkeypatch):
+    @staticmethod
+    def _hanging_child(tmp_path):
+        """``(hang, wait, pid_file)``: ``hang`` writes the child's pid to
+        ``pid_file`` and sleeps a minute; ``wait`` returns once it has."""
         pid_file = tmp_path / "child.pid"
 
         def hang():
@@ -904,10 +907,18 @@ class TestForkedReverseDirection:
             os.replace(tmp_path / "pid.tmp", pid_file)
             time.sleep(60)
 
-        def refuse():
+        def wait():
             deadline = time.monotonic() + 30
             while not pid_file.exists() and time.monotonic() < deadline:
                 time.sleep(0.01)  # until the child is in its reverse training
+
+        return hang, wait, pid_file
+
+    def test_forward_error_kills_the_child(self, tmp_path, toy_dir, capsys, monkeypatch):
+        hang, wait, pid_file = self._hanging_child(tmp_path)
+
+        def refuse():
+            wait()
             raise InvalidParams("forward refused")
 
         self._patch_train(monkeypatch, reverse=hang, forward=refuse)
@@ -936,8 +947,26 @@ class TestForkedReverseDirection:
         self._patch_train(monkeypatch, reverse=bug)
         assert self._run(tmp_path, toy_dir) == 2
         err = capsys.readouterr().err
-        assert "error: the process running the tgt-src alignment ended without a result " \
-               "(exit code 1)" in err
+        assert "error: [align] the process running the tgt-src alignment ended without a " \
+               "result (exit code 1)" in err
+
+    def test_a_link_failure_while_the_child_trains_exits_2_under_link(self, tmp_path, toy_dir,
+                                                                       capsys, monkeypatch):
+        # the link stage runs between the forward direction and the wait for
+        # the reverse one: its failure must kill the child, not wait for it
+        hang, wait, pid_file = self._hanging_child(tmp_path)
+        bad_gaz = tmp_path / "gaz.tsv"
+        bad_gaz.write_text("\tkb:X\tthing\n", encoding="utf-8")  # empty surface
+        self._patch_train(monkeypatch, reverse=hang, forward=wait)
+        t0 = time.monotonic()
+        assert self._run(tmp_path, toy_dir,
+                         linker={"mode": "gazetteer", "gazetteer": str(bad_gaz)}) == 2
+        assert time.monotonic() - t0 < 45
+        assert "error: [link] " in capsys.readouterr().err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid_file.read_text(encoding="utf-8")), 0)
 
     def test_the_child_inherits_its_inputs(self):
         class Unpicklable:
@@ -986,6 +1015,16 @@ class TestForkedReverseDirection:
 
 
 class TestStageParity:
+    def test_pipeline_run_normalizes_the_source_once(self, tmp_path, toy_dir, monkeypatch):
+        # the link stage annotates the lines read_parallel normalized
+        def again(*args):
+            raise AssertionError("the source is read a second time")
+
+        monkeypatch.setattr(cli, "read_lines", again)
+        monkeypatch.setattr(cli, "tokenize_normalize", again)
+        config = write_config(tmp_path / "config.yaml", toy_dir, tmp_path / "run")
+        assert cli.main(["pipeline-run", "--config", str(config)]) == 0
+
     def test_subcommands_match_pipeline_run(self, tmp_path, toy_dir):
         # the subcommand chain and pipeline-run share one implementation per
         # stage, so every artifact must come out byte-identical
@@ -1245,6 +1284,16 @@ def test_cli_import_loads_neither_requests_nor_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_multiprocessing():
+    # only pipeline-run forks, so the other subcommands do not pay for it
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, tagcopy.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_vb_align_train_loads_no_scipy(tmp_path, toy_dir):

@@ -35,6 +35,7 @@ from tagcopy.template import (
     TemplateMethod,
     read_manifest,
     select_bundles,
+    shared_lines,
     tag_corpus,
     write_tagged,
 )
@@ -252,7 +253,7 @@ def test_manifest_round_trips_tagged_bundles(scratch, inputs):
     files = [scratch.with_suffix(ext) for ext in (".src", ".tgt", ".jsonl")]
     for method in TemplateMethod:
         tagged = tag_corpus(corpus, selected, method, vocab)
-        write_tagged(tagged, selected, method, vocab, *files)
+        write_tagged(tagged, shared_lines(tagged, selected), method, vocab, *files)
         entries = read_manifest(files[2])
         # an untagged pair's row is the pair's own lists
         assert all(tagged[k][0] is pair.src and tagged[k][1] is pair.tgt

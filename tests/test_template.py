@@ -23,6 +23,7 @@ from tagcopy.template import (
     render_source_template,
     render_target_template,
     select_bundles,
+    shared_lines,
     split_region,
     tag_corpus,
     write_tagged,
@@ -251,7 +252,7 @@ class TestTagCorpus:
         paths = [tmp_path / name for name in ("t.src", "t.tgt", "t.jsonl")]
         for method in TemplateMethod:
             rows = tag_corpus(toy_corpus, selected, method)
-            write_tagged(rows, selected, method, SPECIAL_VOCAB, *paths)
+            write_tagged(rows, shared_lines(rows, selected), method, SPECIAL_VOCAB, *paths)
         assert toy_corpus == before
 
 
@@ -468,7 +469,7 @@ class TestManifest:
         selected, tagged = tag(
             toy_corpus, toy_annotations, toy_gold_alignments, toy_table, M.TRANSA
         )
-        write_tagged(tagged, selected, M.TRANSA, SPECIAL_VOCAB,
+        write_tagged(tagged, shared_lines(tagged, selected), M.TRANSA, SPECIAL_VOCAB,
                      tmp_path / "t.src", tmp_path / "t.tgt", tmp_path / "t.jsonl")
         entries = read_manifest(tmp_path / "t.jsonl")
         assert len(entries) == tagged_count(selected) > 0
