@@ -8,6 +8,7 @@ manifest with a content hash per artifact.
 """
 
 import argparse
+import gc
 import hashlib
 import json
 import logging
@@ -694,9 +695,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
+    # The stages build lists, tuples, sets, dicts, frozen dataclasses and
+    # arrays that form no reference cycle, so reference counting frees them
+    # all; the cyclic collector would only rescan them. It is off until the
+    # subcommand returns, and the state found at entry is then restored. The
+    # parser is the one structure with cycles: built with the collector off,
+    # it lies whole in the youngest generation, which one small pass frees.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
+        gc.collect(0)
+        logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
         return args.func(args)
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -704,6 +714,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ to upstream tools.
 
 import json
 import random
+import sys
 import unicodedata
 from dataclasses import dataclass, field
 
@@ -44,13 +45,16 @@ def tokenize_normalize(raw_line: str, profile: NormProfile = NormProfile()) -> T
 
     Idempotent: feeding the space-joined result back in reproduces it.
     Tokens that consist solely of combining marks vanish after stripping
-    and are dropped.
+    and are dropped. Each token is interned (``sys.intern``), so equal
+    tokens across a corpus are one object: a corpus holds one ``str`` per
+    distinct token, and the vocabularies and mentions built from it share
+    those objects.
     """
     if profile.lowercase:
         raw_line = raw_line.lower()
     if profile.strip_accents:
         raw_line = _strip_accents(raw_line)
-    return raw_line.split()
+    return list(map(sys.intern, raw_line.split()))
 
 
 @dataclass(frozen=True)

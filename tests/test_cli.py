@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import inspect
 import json
@@ -214,6 +215,7 @@ class TestMalformedFiles:
     # good lines, then one of the wrong shape, and that line's number
     BAD = {
         "table": ("a\tb\t1\t0.5\nc\td\t1\n", 2),
+        "table_value": ("a\tb\t1\t0.5\nc\td\t-3\tnan\n", 2),
         "manifest": ('{"line_no": 0, "method": "tag", "tag_vocab": {"start": "<s>", "mid1": "<m>", '
                      '"mid2": "<n>", "end": "<e>"}, "bundles": []}\n{"line_no": 1}\n', 2),
         "annotations": ('{"line_no": 0, "mentions": []}\n{"line_no": 1, "mentions": 7}\n', 2),
@@ -235,6 +237,8 @@ class TestMalformedFiles:
         argv = {
             "table": ["detag", "--in", str(toy_dir / "tgt.zz"), "--method", "tag",
                       "--table", str(bad), "--out", out],
+            "table_value": ["detag", "--in", str(toy_dir / "tgt.zz"), "--method", "tag",
+                            "--table", str(bad), "--out", out],
             "manifest": ["eval-copy", "--outputs", str(toy_dir / "tgt.zz"), "--manifest", str(bad)],
             "manifest_value": ["eval-copy", "--outputs", str(toy_dir / "tgt.zz"),
                                "--manifest", str(bad)],
@@ -348,6 +352,22 @@ class TestTagApply:
         assert rc == 2
         err = capsys.readouterr().err
         assert "--table" in err and "trans" in err
+
+    def test_table_count_out_of_range_exits_2(self, tmp_path, toy_dir, prepared, capsys):
+        table = tmp_path / "table.tsv"
+        table.write_text(prepared["table"].read_text(encoding="utf-8") + "zz\tyy\t0\t0.5\n",
+                         encoding="utf-8")
+        rc = cli.main([
+            "tag-apply", "--src", str(toy_dir / "src.en"), "--tgt", str(toy_dir / "tgt.zz"),
+            "--annotations", str(prepared["annotations"]),
+            "--alignments", str(prepared["alignments"]),
+            "--table", str(table), "--method", "trans",
+            "--out-src", str(tmp_path / "o.src"), "--out-tgt", str(tmp_path / "o.tgt"),
+            "--manifest", str(tmp_path / "m.jsonl"),
+        ])
+        assert rc == 2
+        rows = len(table.read_text(encoding="utf-8").splitlines())
+        assert f"{table}:{rows}: ValueError: link count '0'" in capsys.readouterr().err
 
     def test_unknown_method(self, tmp_path, toy_dir, prepared, capsys):
         rc = cli.main([
@@ -1014,6 +1034,79 @@ class TestForkedReverseDirection:
         assert logged == expected[align.FORWARD] + expected[align.REVERSE]
 
 
+class TestCollector:
+    """cli.main runs a subcommand with the cyclic garbage collector off and
+    restores the state it found."""
+
+    @pytest.fixture(params=[True, False], ids=["caller-on", "caller-off"])
+    def caller_gc(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("outcome", ["exit-0", "exit-2", "raises"])
+    def test_state_found_at_entry_is_restored(self, tmp_path, toy_dir, monkeypatch, caller_gc,
+                                              outcome):
+        seen = []
+        read_lines = cli.read_lines
+
+        def reading(path):
+            seen.append(gc.isenabled())
+            return read_lines(path)
+
+        monkeypatch.setattr(cli, "read_lines", reading)
+        gazetteer = toy_dir / "gazetteer.tsv"
+        if outcome == "exit-2":  # an empty surface: MalformedFile, a ToolkitError
+            gazetteer = tmp_path / "gaz.tsv"
+            gazetteer.write_text("\tkb:X\tthing\n", encoding="utf-8")
+        if outcome == "raises":
+            def boom(tokens, gaz):
+                raise RuntimeError("boom")
+            monkeypatch.setattr(link, "annotate_gazetteer", boom)
+        argv = ["link-annotate", "--src", str(toy_dir / "src.en"), "--mode", "gazetteer",
+                "--gazetteer", str(gazetteer), "--out", str(tmp_path / "ann.jsonl")]
+        if outcome == "raises":
+            with pytest.raises(RuntimeError, match="boom"):
+                cli.main(argv)
+        else:
+            assert cli.main(argv) == {"exit-0": 0, "exit-2": 2}[outcome]
+        assert seen == [False]
+        assert gc.isenabled() is caller_gc
+
+    @staticmethod
+    def _garbage_after_run(tmp_path, toy_dir, copies) -> int:
+        """The unreachable objects a pipeline-run over the toy corpus repeated
+        ``copies`` times leaves for the collector."""
+        run = tmp_path / f"x{copies}"
+        run.mkdir()
+        for name in ("src.en", "tgt.zz"):
+            text = (toy_dir / name).read_text(encoding="utf-8")
+            (run / name).write_text(text * copies, encoding="utf-8")
+        config = write_config(run / "config.yaml", toy_dir, run / "out",
+                              src=str(run / "src.en"), tgt=str(run / "tgt.zz"))
+        was = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            assert cli.main(["pipeline-run", "--config", str(config)]) == 0
+            return gc.collect()
+        finally:
+            if was:
+                gc.enable()
+
+    def test_garbage_does_not_grow_with_the_corpus(self, tmp_path, toy_dir):
+        # the stages build no reference cycles, so what reference counting
+        # cannot free does not depend on the corpus: a cycle per pair would
+        # add at least 600 here. main frees the parser's cycles (about 800
+        # objects) itself; what is left is the closures of the JSON encoder
+        # that writes stage_manifest.json (33 objects)
+        once = self._garbage_after_run(tmp_path, toy_dir, 1)
+        four_times = self._garbage_after_run(tmp_path, toy_dir, 4)
+        assert abs(four_times - once) <= 50, (once, four_times)
+        assert max(once, four_times) < 100, (once, four_times)
+
+
 class TestStageParity:
     def test_pipeline_run_normalizes_the_source_once(self, tmp_path, toy_dir, monkeypatch):
         # the link stage annotates the lines read_parallel normalized
@@ -1323,3 +1416,19 @@ def test_fixture_generator_reproduces_the_toy_fixture(tmp_path, toy_dir):
     assert len(written) == 7
     for name in written:
         assert (tmp_path / name).read_bytes() == (toy_dir / name).read_bytes(), name
+
+
+def test_scale_probe_runs_and_reproduces_its_manifest():
+    # the script the scale numbers rest on exits 0, and two runs over the
+    # same generated corpus write the same artifacts
+    script = Path(__file__).resolve().parent.parent / "scripts" / "scale_probe.py"
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    digests = []
+    for _ in range(2):
+        out = subprocess.run([sys.executable, str(script), "300"], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        label, kind, digest = out.stdout.splitlines()[-1].split()
+        assert (label, kind, len(digest)) == ("manifest", "sha256", 64)
+        digests.append(digest)
+    assert digests[0] == digests[1]

@@ -1,7 +1,11 @@
 import random
 import re
+import sys
+import unicodedata
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tagcopy.corpus import (
     NormProfile,
@@ -58,8 +62,30 @@ class TestTokenizeNormalize:
             once = tokenize_normalize(text)
             assert tokenize_normalize(" ".join(once)) == once
 
+    @given(line=st.text(), lowercase=st.booleans(), strip_accents=st.booleans())
+    def test_tokens_are_the_split_of_the_normalized_line_and_interned(
+            self, line, lowercase, strip_accents):
+        tokens = tokenize_normalize(line, NormProfile(lowercase, strip_accents))
+        normalized = line.lower() if lowercase else line
+        if strip_accents:
+            normalized = "".join(ch for ch in unicodedata.normalize("NFD", normalized)
+                                 if not unicodedata.combining(ch))
+        assert tokens == normalized.split()
+        assert all(token is sys.intern(token) for token in tokens)
+
 
 class TestReadParallel:
+    def test_equal_tokens_are_one_object(self, tmp_path, toy_corpus):
+        # across pairs and across sides
+        (tmp_path / "a").write_text("New York grew\nwe left new york\n", encoding="utf-8")
+        (tmp_path / "b").write_text("nueva york crecio\nnew york dejamos\n", encoding="utf-8")
+        first, second = read_parallel(tmp_path / "a", tmp_path / "b").pairs
+        assert first.src[0] is second.src[2] is second.tgt[0]
+        assert first.src[1] is first.tgt[1] is second.src[3] is second.tgt[1]
+        # the toy corpus holds one object per distinct token
+        tokens = [t for pair in toy_corpus.pairs for side in (pair.src, pair.tgt) for t in side]
+        assert len({id(t) for t in tokens}) == len(set(tokens)) < len(tokens)
+
     def test_reads_pairs(self, tmp_path):
         (tmp_path / "a").write_text("One two\nThree four\n", encoding="utf-8")
         (tmp_path / "b").write_text("eins zwei\ndrei vier\n", encoding="utf-8")

@@ -92,6 +92,15 @@ MENTION = '"start": 0, "end": 1, "surface": ["a"], "uri": "u"'
 @pytest.mark.parametrize("reader, text, where", [
     ("table", "a\tb\t1\t0.5\nc\td\t1\n", ":2: 3 tab-separated fields, expected 4"),
     ("table", "a\tb\t1\t0.5\n\nc\td\tone\t0.5\n", ":3: ValueError"),
+    ("table", "a\tb\t1\t0.5\na\tb\t-3\tnan\n", ":2: ValueError: link count '-3'"),
+    ("table", "a\tb\t1\t0.5\nc\td\t1_0\t-0.5\n", ":2: ValueError: link count '1_0'"),
+    ("table", "a\tb\t1\t0.5\ne\tf\t 7\tinf\n", ":2: ValueError: link count ' 7'"),
+    ("table", "a\tb\t1\t0.5\ng\th\t0\t0.5\n", ":2: ValueError: link count '0'"),
+    ("table", "a\tb\t1\t0.5\ng\th\t+2\t0.5\n", ":2: ValueError: link count '+2'"),
+    ("table", "a\tb\t1\t0.5\ng\th\t2\tnan\n", ":2: ValueError: probability 'nan'"),
+    ("table", "a\tb\t1\t0.5\ng\th\t2\t-0.5\n", ":2: ValueError: probability '-0.5'"),
+    ("table", "a\tb\t1\t0.5\ng\th\t2\tinf\n", ":2: ValueError: probability 'inf'"),
+    ("table", "a\tb\t1\t0.5\ng\th\t2\t1.000001\n", ":2: ValueError: probability '1.000001'"),
     ("gazetteer", "new york\tkb:NY\tcity\nx\tkb:X\n", ":2: 2 tab-separated fields"),
     ("gazetteer", "new york\tkb:NY\tcity\n \tkb:X\tcity\n", ":2: ValueError: empty surface"),
     ("hypernyms", "kb:A\tcity\nkb:B\tcity\tx\n", ":2: 3 tab-separated fields, expected 2"),
