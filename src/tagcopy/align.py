@@ -76,10 +76,22 @@ _LOAD_BYTES = 1 << 17
 # prune_model keeps an entry at or above this fraction of its row's maximum
 PRUNE_RATIO = 1e-6
 
+
+def _prior_param(name: str, value: float) -> float:
+    """``value`` if it is in the range of the prior's parameter ``name``,
+    the one rule of training and of the model reader: tension finite and
+    >= 0, p0 in [0, 1). Else InvalidParams (nan fails every comparison)."""
+    top, rule = {"tension": (math.inf, "finite and >= 0"), "p0": (1.0, "in [0, 1)")}[name]
+    if not 0.0 <= value < top:
+        raise InvalidParams(f"{name} must be {rule}, got {value}")
+    return value
+
+
 # a model dump's header lines: key -> parser of the value (a direction
 # other than the two raises KeyError)
 _MODEL_HEADER = {"direction": {FORWARD: FORWARD, REVERSE: REVERSE}.__getitem__,
-                 "tension": float, "p0": float}
+                 "tension": lambda value: _prior_param("tension", float(value)),
+                 "p0": lambda value: _prior_param("p0", float(value))}
 
 
 def _ids(vocab: list[str]) -> dict[str, int]:
@@ -285,10 +297,8 @@ def train_alignment(
         raise EmptyCorpus("cannot train on an empty corpus")
     if iterations <= 0:
         raise InvalidParams(f"iterations must be >= 1, got {iterations}")
-    if not 0.0 <= p0 < 1.0:
-        raise InvalidParams(f"p0 must be in [0, 1), got {p0}")
-    if not 0.0 <= tension < math.inf:
-        raise InvalidParams(f"tension must be finite and >= 0, got {tension}")
+    _prior_param("p0", p0)
+    _prior_param("tension", tension)
     if vb and not 0.0 < alpha < math.inf:
         raise InvalidParams(f"alpha must be finite and > 0 in vb mode, got {alpha}")
     if direction not in (FORWARD, REVERSE):
@@ -607,15 +617,16 @@ def _model_fault(path) -> MalformedFile:
             fields = line.rstrip("\n").split("\t")
             try:
                 if len(fields) == 3:
-                    float(fields[2])
+                    if not 0.0 <= float(fields[2]) < math.inf:
+                        raise ValueError
                 elif len(fields) == 2:
                     header[fields[0]] = _MODEL_HEADER[fields[0]](fields[1])
                 elif line.strip():
                     raise ValueError
-            except (ValueError, KeyError):
+            except (ValueError, KeyError, InvalidParams):
                 return MalformedFile(
-                    f"{path}:{n}: neither an e<TAB>f<TAB>prob row nor a valid direction, "
-                    f"tension or p0 header: {line!r}"
+                    f"{path}:{n}: neither an e<TAB>f<TAB>prob row with a finite prob >= 0 nor "
+                    f"a valid direction, tension or p0 header: {line!r}"
                 )
     missing = next(k for k in ("tension", "p0") if k not in header)
     return MalformedFile(f"{path}:{n + 1}: end of file before a {missing!r} header line")
@@ -623,7 +634,8 @@ def _model_fault(path) -> MalformedFile:
 
 def load_model(path) -> AlignModel:
     """Read a model dump. Rows may come in any order; a repeated (e, f)
-    keeps its last value. A malformed dump raises MalformedFile naming
+    keeps its last value. A malformed dump, or one whose tension, p0 or
+    row probability is out of its range, raises MalformedFile naming
     path:line."""
     header: dict = {"direction": FORWARD}
     # token -> id in order of first appearance
@@ -651,9 +663,13 @@ def load_model(path) -> AlignModel:
             tension, p0 = header["tension"], header["p0"]
         except UnicodeDecodeError as exc:
             raise MalformedFile(f"{path}: not UTF-8 text ({exc.reason})") from None
-        except (ValueError, KeyError):
+        except (ValueError, KeyError, InvalidParams):
             raise _model_fault(path) from None
     import numpy as np
+
+    probs = np.frombuffer(values, dtype=np.float64)
+    if not ((probs >= 0.0) & (probs < np.inf)).all():  # the row rule of _model_fault
+        raise _model_fault(path)
 
     cond, cond_rank = _sorted_ranks(cond_seen)
     emit, emit_rank = _sorted_ranks(emit_seen)
@@ -661,7 +677,6 @@ def load_model(path) -> AlignModel:
     keys *= len(emit)
     keys += emit_rank[np.frombuffer(cols, dtype=np.intc)]
     del rows, cols
-    probs = np.frombuffer(values, dtype=np.float64)
     if not (keys[1:] > keys[:-1]).all():  # not in save_model's order
         order = np.argsort(keys, kind="stable")
         keys, probs = keys[order], probs[order]

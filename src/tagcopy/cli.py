@@ -196,10 +196,11 @@ def _build_and_save_table(corpus, alignments, min_count: int, path) -> lexicon.T
     return table
 
 
-def _make_annotator(linker: LinkerParams):
-    """Returns (annotate(sentences) -> list of mention lists)."""
+def _make_annotator(linker: LinkerParams, profile: NormProfile):
+    """Returns (annotate(sentences) -> list of mention lists) for sentences
+    normalized with ``profile``."""
     if linker.mode == "gazetteer":
-        gaz = link.Gazetteer.from_tsv(linker.gazetteer)
+        gaz = link.Gazetteer.from_tsv(linker.gazetteer, profile)
         return lambda sentences: [link.annotate_gazetteer(s, gaz) for s in sentences]
     client = link.SpotlightClient(linker.endpoint, linker.confidence)
     return lambda sentences: link.annotate_corpus(client, sentences)
@@ -223,12 +224,13 @@ def _corpus_sources(corpus) -> dict:
     return dict(sorted(sentences.items()))
 
 
-def _annotate_and_write(sentences: dict, linker: LinkerParams, resolver, path) -> dict:
-    """Annotate the normalized source ``sentences``, by line number, whether
-    or not their pairs survive ``read_parallel``, fill missing hypernyms
-    from ``resolver`` if one is given, and write one row per line. Returns
-    the mentions by line number."""
-    by_line = dict(zip(sentences, _make_annotator(linker)(list(sentences.values()))))
+def _annotate_and_write(sentences: dict, linker: LinkerParams, profile: NormProfile, resolver,
+                        path) -> dict:
+    """Annotate the source ``sentences`` normalized with ``profile``, by line
+    number, whether or not their pairs survive ``read_parallel``, fill
+    missing hypernyms from ``resolver`` if one is given, and write one row
+    per line. Returns the mentions by line number."""
+    by_line = dict(zip(sentences, _make_annotator(linker, profile)(list(sentences.values()))))
     if resolver is not None:
         link.fill_hypernyms(by_line.values(), resolver)
     link.write_annotations(path, list(by_line.items()))
@@ -237,19 +239,12 @@ def _annotate_and_write(sentences: dict, linker: LinkerParams, resolver, path) -
 
 def _tag_and_write(corpus, by_line: dict, alignments, table, vocab, outputs: dict) -> dict:
     """Join the annotations ``by_line`` to the pairs by line_no, select the
-    bundles once, and render and write each method to its ``outputs[method]``
-    (src, tgt, manifest) paths. Returns the pair counts of the selection,
-    which every method renders."""
+    bundles once, and write each method to its ``outputs[method]`` (src,
+    tgt, manifest) paths. Returns the pair counts of the selection, which
+    every method renders."""
     annotations = [by_line.get(pair.line_no, []) for pair in corpus.pairs]
     selected = template.select_bundles(corpus, annotations, alignments, table)
-    # every method writes the untagged lines and the bundles' JSON alike:
-    # for several methods they are made once, for one as they are written
-    shared = template.shared_lines(((p.src, p.tgt) for p in corpus.pairs), selected)
-    if len(outputs) > 1:
-        shared = list(shared)
-    for method, paths in outputs.items():
-        rows = template.tag_corpus(corpus, selected, method, vocab)
-        template.write_tagged(rows, shared, method, vocab, *paths)
+    template.write_tagged(corpus, selected, outputs, vocab)
     total = len(selected)
     tagged = sum(1 for bundles in selected if bundles)
     return {"total_pairs": total, "tagged_pairs": tagged,
@@ -312,7 +307,8 @@ def cmd_link_annotate(args) -> int:
     linker = LinkerParams(mode=args.mode, gazetteer=args.gazetteer, confidence=args.confidence,
                           endpoint=args.endpoint or os.environ.get("LINKER_ENDPOINT"))
     check_linker(linker)
-    by_line = _annotate_and_write(_read_sources(args.src, _profile(args)), linker, None,
+    profile = _profile(args)
+    by_line = _annotate_and_write(_read_sources(args.src, profile), linker, profile, None,
                                   args.out)
     n = sum(1 for m in by_line.values() if m)
     print(f"annotated {n}/{len(by_line)} sentences with at least one mention")
@@ -512,7 +508,8 @@ def cmd_pipeline_run(args) -> int:
             hypernyms = cfg.linker.hypernyms
             resolver = link.OfflineHypernyms.from_tsv(hypernyms) if hypernyms else None
             by_line = _annotate_and_write(
-                _corpus_sources(corpus), cfg.linker, resolver, artifact("link/annotations.jsonl")
+                _corpus_sources(corpus), cfg.linker, cfg.profile, resolver,
+                artifact("link/annotations.jsonl"),
             )
 
             stage = "align"

@@ -102,18 +102,20 @@ def save_table(table: TranslationTable, path) -> None:
 
 def _table_row(src, tgt, count, prob):
     # a count is bare decimal digits, the rule of read_pharaoh, and at least
-    # 1; a probability is finite and in [0, 1] (nan fails both comparisons),
-    # with 0 allowed since save_table rounds to 6 decimals
+    # 1; a probability is bare digits with at most one "." between digit
+    # runs, as save_table writes it, and at most 1 (0 is allowed, since
+    # save_table rounds to 6 decimals)
     entry = TableEntry(tgt, int(count), float(prob))
     if not count.isdecimal() or entry.count < 1:
         raise ValueError(f"link count {count!r} is not a positive integer")
-    if not 0.0 <= entry.prob <= 1.0:
-        raise ValueError(f"probability {prob!r} is not in [0, 1]")
+    whole, dot, fraction = prob.partition(".")
+    if not (whole.isdecimal() and (fraction.isdecimal() or not dot)) or entry.prob > 1.0:
+        raise ValueError(f"probability {prob!r} is not a decimal in [0, 1]")
     return src, entry
 
 
 def load_table(path) -> TranslationTable:
     """Read a save_table dump; a repeated source word keeps its last row.
-    A row whose count or probability is out of range raises MalformedFile
-    naming ``path:line``."""
+    A row whose count or probability is not written as save_table writes it,
+    or is out of range, raises MalformedFile naming ``path:line``."""
     return TranslationTable(dict(read_records(path, _table_row, tsv=4)))

@@ -21,7 +21,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
-from .corpus import TokenSeq, check_json_values, read_records
+from .corpus import (NormProfile, TokenSeq, check_json_values, read_records,
+                     tokenize_normalize)
 from .errors import HttpError, InvalidParams, MalformedResponse
 
 log = logging.getLogger(__name__)
@@ -48,12 +49,14 @@ class Gazetteer:
         self.starts = {k[0] for k in entries}  # a match can only begin at one of these
 
     @classmethod
-    def from_tsv(cls, path) -> "Gazetteer":
+    def from_tsv(cls, path, profile: NormProfile = NormProfile()) -> "Gazetteer":
         """Columns: surface form (space-separated tokens), uri, hypernym label
-        (may be empty)."""
+        (may be empty). Each surface is normalized with ``profile``, the
+        profile of the corpus it is matched against; surfaces that normalize
+        alike keep the last row."""
 
         def entry(surface, uri, label):
-            key = tuple(surface.split())
+            key = tuple(tokenize_normalize(surface, profile))
             if not key:
                 raise ValueError("empty surface form")
             return key, (uri, label.lower().split() or None)

@@ -18,8 +18,8 @@ and appends the table-translated hypernym (or the source-language hypernym
 when the table cannot cover it).
 
 Tagging a corpus takes two steps: ``select_bundles`` picks the mentions to
-tag, once per corpus, and ``tag_corpus`` renders that selection for one
-method.
+tag, once per corpus, and ``write_tagged`` renders and writes that selection
+for every method at once.
 
 Tagged corpora are written as parallel text files plus a JSON Lines
 manifest that records, per tagged line, the method, the tag vocabulary and
@@ -29,6 +29,7 @@ module scores against.
 
 import json
 import operator
+from contextlib import ExitStack
 from dataclasses import dataclass
 from enum import Enum
 
@@ -239,6 +240,19 @@ def select_bundles(
     return selected
 
 
+def _render(pair, bundles: list[BundleRecord], method: TemplateMethod,
+            vocab: TagVocabulary) -> tuple[TokenSeq, TokenSeq]:
+    """One pair's ``(src, tgt)`` token row under ``method``, each bundle
+    rendered right to left so earlier spans keep their indices. A tagged
+    pair renders into new lists; an untagged pair's row is its own lists."""
+    src, tgt = pair.src, pair.tgt
+    for b in reversed(bundles):
+        src = render_source_template(method, b, src, vocab)
+    for b in sorted(bundles, key=lambda b: b.tgt_span[0], reverse=True):
+        tgt = render_target_template(method, b, tgt, vocab)
+    return src, tgt
+
+
 def tag_corpus(
     corpus: ParallelCorpus,
     selected: list[list[BundleRecord]],
@@ -246,20 +260,11 @@ def tag_corpus(
     vocab: TagVocabulary = SPECIAL_VOCAB,
 ) -> list[tuple[TokenSeq, TokenSeq]]:
     """Render one method over the bundles :func:`select_bundles` chose for
-    ``corpus``: one ``(src, tgt)`` token row per pair, each bundle rendered
-    right to left so earlier spans keep their indices. Only tagged pairs
-    are rendered, into new lists; an untagged pair's row is the pair's own
-    lists, unchanged."""
-    rows = []
-    for pair, bundles in zip(corpus.pairs, selected, strict=True):
-        src, tgt = pair.src, pair.tgt
-        if bundles:
-            for b in reversed(bundles):
-                src = render_source_template(method, b, src, vocab)
-            for b in sorted(bundles, key=lambda b: b.tgt_span[0], reverse=True):
-                tgt = render_target_template(method, b, tgt, vocab)
-        rows.append((src, tgt))
-    return rows
+    ``corpus``: one ``(src, tgt)`` token row per pair, rendered as
+    :func:`write_tagged` writes it; an untagged pair's row is the pair's
+    own lists, unchanged."""
+    return [_render(pair, bundles, method, vocab)
+            for pair, bundles in zip(corpus.pairs, selected, strict=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -386,51 +391,43 @@ class ManifestEntry:
 _to_json = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps(x, ensure_ascii=False)
 
 
-def shared_lines(rows, selected: list[list[BundleRecord]]):
-    """Per pair, what every method writes for it alike: an untagged pair's
-    ``(src, tgt)`` lines, joined from its row, or a tagged pair's bundle
-    list as manifest JSON. ``rows`` may be any method's :func:`tag_corpus`
-    rows of ``selected``, or the pairs' own ``(src, tgt)`` lists: they
-    differ only where a pair is tagged. A generator, made as it is read; a
-    list of it serves every method."""
-    for (src, tgt), bundles in zip(rows, selected, strict=True):
-        if bundles:
-            yield _to_json([vars(b) for b in bundles])
-        else:
-            yield " ".join(src) + "\n", " ".join(tgt) + "\n"
-
-
 def write_tagged(
-    rows: list[tuple[TokenSeq, TokenSeq]],
-    shared,
-    method: TemplateMethod,
+    corpus: ParallelCorpus,
+    selected: list[list[BundleRecord]],
+    outputs: dict,
     vocab: TagVocabulary,
-    src_path,
-    tgt_path,
-    manifest_path,
 ) -> None:
-    """Write the rows :func:`tag_corpus` rendered as the tagged parallel
-    files, plus the manifest of the tagged rows, line by line. ``shared``
-    is :func:`shared_lines` of the same selection: a list made once when
-    several methods are written, or the generator, made as it is written.
+    """Write each method of ``outputs`` (method -> src, tgt and manifest
+    paths) as the tagged parallel files of the bundles :func:`select_bundles`
+    chose for ``corpus``, plus the manifest of the tagged rows, in one pass
+    over the pairs: an untagged pair's lines are joined once for every
+    method, a tagged pair's bundles serialized once and rendered per method.
 
     Manifest line_no refers to the row index in the emitted files (the
     files the external translation system reads and answers line by line).
     Each record is ``json.dumps(record, ensure_ascii=False)`` of
     ``{"line_no", "method", "tag_vocab", "bundles"}``, written around the
-    bundles' shared JSON.
+    bundles' JSON.
     """
-    # the record's text between its line_no and its bundles
-    middle = (f', "method": {_to_json(method.value)}, "tag_vocab": {_to_json(vars(vocab))}, '
-              '"bundles": ')
-    with (open(src_path, "w", encoding="utf-8") as fs,
-          open(tgt_path, "w", encoding="utf-8") as ft,
-          open(manifest_path, "w", encoding="utf-8") as fm):
-        for row, ((src, tgt), text) in enumerate(zip(rows, shared, strict=True)):
-            if isinstance(text, tuple):  # untagged: the pair's own lines
-                fs.write(text[0])
-                ft.write(text[1])
-            else:
+    vocab_json = _to_json(vars(vocab))
+    with ExitStack() as stack:
+        files = [
+            # the method, its three files, and its records' text between
+            # their line_no and their bundles
+            (method, [stack.enter_context(open(path, "w", encoding="utf-8")) for path in paths],
+             f', "method": {_to_json(method.value)}, "tag_vocab": {vocab_json}, "bundles": ')
+            for method, paths in outputs.items()
+        ]
+        for row, (pair, bundles) in enumerate(zip(corpus.pairs, selected, strict=True)):
+            if not bundles:
+                src, tgt = " ".join(pair.src) + "\n", " ".join(pair.tgt) + "\n"
+                for _, (fs, ft, _), _ in files:
+                    fs.write(src)
+                    ft.write(tgt)
+                continue
+            text = _to_json([vars(b) for b in bundles])
+            for method, (fs, ft, fm), middle in files:
+                src, tgt = _render(pair, bundles, method, vocab)
                 fs.write(" ".join(src) + "\n")
                 ft.write(" ".join(tgt) + "\n")
                 fm.write(f'{{"line_no": {row}{middle}{text}}}\n')

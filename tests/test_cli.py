@@ -284,6 +284,30 @@ class TestLinkCommands:
             for ms in by_line.values() for m in ms
         )
 
+    @pytest.mark.parametrize("lowercase", [True, False])
+    def test_gazetteer_surfaces_are_normalized_like_the_source(self, tmp_path, toy_dir,
+                                                                lowercase):
+        # source and gazetteer both write "Myanmar": link-annotate and
+        # pipeline-run normalize the surface with the run's profile, so it
+        # matches the source's own token under either case rule
+        src, gaz = tmp_path / "src.en", tmp_path / "gazetteer.tsv"
+        for path in (src, gaz):
+            text = (toy_dir / path.name).read_text(encoding="utf-8")
+            path.write_text(text.replace("myanmar", "Myanmar"), encoding="utf-8")
+        config = write_config(tmp_path / "config.yaml", toy_dir, tmp_path / "run",
+                              src=str(src), lowercase=lowercase, tagging={"methods": ["tag"]},
+                              linker={"mode": "gazetteer", "gazetteer": str(gaz)})
+        assert cli.main(["pipeline-run", "--config", str(config)]) == 0
+        flags = [] if lowercase else ["--no-lowercase"]
+        out = tmp_path / "a.jsonl"
+        assert cli.main(["link-annotate", "--src", str(src), "--gazetteer", str(gaz),
+                         "--out", str(out), *flags]) == 0
+        surface = ["myanmar" if lowercase else "Myanmar"]
+        for path in (out, tmp_path / "run" / "link" / "annotations.jsonl"):
+            found = [m for ms in read_annotations(path).values() for m in ms
+                     if m.uri == "http://example.org/kb/Myanmar"]
+            assert len(found) == 9 and all(m.surface == surface for m in found), path
+
     def test_annotate_requires_gazetteer(self, tmp_path, toy_dir, capsys):
         rc = cli.main([
             "link-annotate", "--src", str(toy_dir / "src.en"),
@@ -841,7 +865,7 @@ class TestPipelineRun:
             worker.install(tracer)
             assert cli.main(["pipeline-run", "--config", str(config)]) == 0
         names = set(tracer.summary())
-        assert {"template.tag_corpus", "template.write_tagged", "align.train_alignment"} <= names
+        assert {"template.write_tagged", "align.train_alignment"} <= names
         assert tracer.counters["align.theta_entries"] > 0
         assert not hasattr(cli.main, "__wrapped__")  # leaving the tracer unwrapped it
 

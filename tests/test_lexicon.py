@@ -113,3 +113,10 @@ class TestTableFile:
         save_table(table, tmp_path / "table.tsv")
         lines = (tmp_path / "table.tsv").read_text(encoding="utf-8").splitlines()
         assert lines == ["a\tx\t2\t1.000000", "b\ty\t1\t0.500000"]
+
+    def test_crlf_line_ends_read_as_newlines(self, tmp_path):
+        # the file is read in universal-newline mode, so no "\r" reaches the
+        # probability field: a CRLF table loads as its LF twin
+        (tmp_path / "table.tsv").write_bytes(b"a\tx\t2\t1.000000\r\nb\ty\t1\t0.500000\r\n")
+        assert load_table(tmp_path / "table.tsv") == TranslationTable(
+            {"a": TableEntry("x", 2, 1.0), "b": TableEntry("y", 1, 0.5)})

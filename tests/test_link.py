@@ -5,7 +5,8 @@ import pytest
 import requests
 
 from conftest import load_spotlight_fixture
-from tagcopy.errors import HttpError, InvalidParams, MalformedResponse
+from tagcopy.corpus import NormProfile, tokenize_normalize
+from tagcopy.errors import HttpError, InvalidParams, MalformedFile, MalformedResponse
 from tagcopy.link import (
     EntityMention,
     Gazetteer,
@@ -60,6 +61,29 @@ class TestGazetteer:
         assert toy_gazetteer.entries[("new", "york")][0] == "http://example.org/kb/New_York"
         assert toy_gazetteer.entries[("osaka",)][1] == ["port", "city"]
         assert toy_gazetteer.entries[("ruritania",)][1] is None
+
+    def test_surfaces_are_normalized_like_the_corpus(self, tmp_path):
+        path = tmp_path / "gaz.tsv"
+        path.write_text("New York\tkb:NY\tCity\nÉcole\tkb:E\t\nNEW  york\tkb:NY2\t\n",
+                        encoding="utf-8")
+        sentence = tokenize_normalize("I saw New York and the École")
+        gaz = Gazetteer.from_tsv(path)
+        # surfaces that normalize alike keep the last row; labels are only lowercased
+        assert gaz.entries == {("new", "york"): ("kb:NY2", None), ("ecole",): ("kb:E", None)}
+        assert [(m.start, m.uri) for m in annotate_gazetteer(sentence, gaz)] == [
+            (2, "kb:NY2"), (6, "kb:E")]
+        profile = NormProfile(lowercase=False)
+        cased = Gazetteer.from_tsv(path, profile)
+        assert cased.entries[("New", "York")] == ("kb:NY", ["city"])
+        assert [(m.start, m.uri) for m in annotate_gazetteer(
+            tokenize_normalize("I saw New York and the École", profile), cased)] == [
+            (2, "kb:NY"), (6, "kb:E")]
+
+    def test_surface_of_combining_marks_only_is_empty(self, tmp_path):
+        path = tmp_path / "gaz.tsv"
+        path.write_text("myanmar\tkb:M\tstate\n\u0301\tkb:X\tthing\n", encoding="utf-8")
+        with pytest.raises(MalformedFile, match=":2: ValueError: empty surface form"):
+            Gazetteer.from_tsv(path)
 
 
 class TestProjection:

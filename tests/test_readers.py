@@ -35,7 +35,6 @@ from tagcopy.template import (
     TemplateMethod,
     read_manifest,
     select_bundles,
-    shared_lines,
     tag_corpus,
     write_tagged,
 )
@@ -101,6 +100,16 @@ MENTION = '"start": 0, "end": 1, "surface": ["a"], "uri": "u"'
     ("table", "a\tb\t1\t0.5\ng\th\t2\t-0.5\n", ":2: ValueError: probability '-0.5'"),
     ("table", "a\tb\t1\t0.5\ng\th\t2\tinf\n", ":2: ValueError: probability 'inf'"),
     ("table", "a\tb\t1\t0.5\ng\th\t2\t1.000001\n", ":2: ValueError: probability '1.000001'"),
+    # a probability is written as save_table writes it
+    ("table", "a\tb\t1\t0.5\nc\td\t2\t0.1_2\n", ":2: ValueError: probability '0.1_2'"),
+    ("table", "a\tb\t1\t0.5\ne\tf\t3\t 0.25 \n", ":2: ValueError: probability ' 0.25 '"),
+    ("model", "tension\tnan\np0\t0.08\na\tb\t0.5\n", ":1: neither"),
+    ("model", "tension\t-4.0\np0\t0.08\na\tb\t0.5\n", ":1: neither"),
+    ("model", "tension\t4.0\np0\t1.5\na\tb\t0.5\n", ":2: neither"),
+    ("model", "tension\t4.0\np0\tnan\na\tb\t0.5\n", ":2: neither"),
+    ("model", "tension\t4.0\np0\t0.08\na\tb\t0.5\nc\td\tnan\n", ":4: neither"),
+    ("model", "tension\t4.0\np0\t0.08\na\tb\tinf\nc\td\t0.5\n", ":3: neither"),
+    ("model", "tension\t4.0\na\tb\t-0.5\np0\t0.08\n", ":2: neither"),
     ("gazetteer", "new york\tkb:NY\tcity\nx\tkb:X\n", ":2: 2 tab-separated fields"),
     ("gazetteer", "new york\tkb:NY\tcity\n \tkb:X\tcity\n", ":2: ValueError: empty surface"),
     ("hypernyms", "kb:A\tcity\nkb:B\tcity\tx\n", ":2: 3 tab-separated fields, expected 2"),
@@ -262,7 +271,7 @@ def test_manifest_round_trips_tagged_bundles(scratch, inputs):
     files = [scratch.with_suffix(ext) for ext in (".src", ".tgt", ".jsonl")]
     for method in TemplateMethod:
         tagged = tag_corpus(corpus, selected, method, vocab)
-        write_tagged(tagged, shared_lines(tagged, selected), method, vocab, *files)
+        write_tagged(corpus, selected, {method: files}, vocab)
         entries = read_manifest(files[2])
         # an untagged pair's row is the pair's own lists
         assert all(tagged[k][0] is pair.src and tagged[k][1] is pair.tgt

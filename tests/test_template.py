@@ -23,7 +23,6 @@ from tagcopy.template import (
     render_source_template,
     render_target_template,
     select_bundles,
-    shared_lines,
     split_region,
     tag_corpus,
     write_tagged,
@@ -249,10 +248,11 @@ class TestTagCorpus:
         # untagged rows share the pairs' lists, so writing them must not touch them
         before = deepcopy(toy_corpus)
         selected = select_bundles(toy_corpus, toy_annotations, toy_gold_alignments, toy_table)
-        paths = [tmp_path / name for name in ("t.src", "t.tgt", "t.jsonl")]
+        outputs = {method: [tmp_path / f"{method.value}.{ext}" for ext in ("src", "tgt", "jsonl")]
+                   for method in TemplateMethod}
         for method in TemplateMethod:
-            rows = tag_corpus(toy_corpus, selected, method)
-            write_tagged(rows, shared_lines(rows, selected), method, SPECIAL_VOCAB, *paths)
+            tag_corpus(toy_corpus, selected, method)
+        write_tagged(toy_corpus, selected, outputs, SPECIAL_VOCAB)
         assert toy_corpus == before
 
 
@@ -466,11 +466,10 @@ class TestVocabulary:
 class TestManifest:
     def test_write_read_round_trip(self, tmp_path, toy_corpus, toy_annotations,
                                    toy_gold_alignments, toy_table):
-        selected, tagged = tag(
-            toy_corpus, toy_annotations, toy_gold_alignments, toy_table, M.TRANSA
-        )
-        write_tagged(tagged, shared_lines(tagged, selected), M.TRANSA, SPECIAL_VOCAB,
-                     tmp_path / "t.src", tmp_path / "t.tgt", tmp_path / "t.jsonl")
+        selected = select_bundles(toy_corpus, toy_annotations, toy_gold_alignments, toy_table)
+        write_tagged(toy_corpus, selected,
+                     {M.TRANSA: (tmp_path / "t.src", tmp_path / "t.tgt", tmp_path / "t.jsonl")},
+                     SPECIAL_VOCAB)
         entries = read_manifest(tmp_path / "t.jsonl")
         assert len(entries) == tagged_count(selected) > 0
         by_line = {e.line_no: e for e in entries}
