@@ -536,9 +536,19 @@ def corpus_perplexity(model: AlignModel, corpus: ParallelCorpus) -> float:
 
 
 def write_pharaoh(link_sets, path) -> None:
+    # (i, j) -> "i-j": as read_pharaoh converts each distinct link once, each
+    # is formatted once and the lines are joined at C speed
+    known: dict[tuple[int, int], str] = {}
     with open(path, "w", encoding="utf-8") as f:
         for links in link_sets:
-            f.write(" ".join(f"{i}-{j}" for i, j in sorted(links)) + "\n")
+            ordered = sorted(links)
+            try:
+                line = " ".join(map(known.__getitem__, ordered))
+            except KeyError:
+                known.update((link, f"{link[0]}-{link[1]}") for link in ordered
+                             if link not in known)
+                line = " ".join(map(known.__getitem__, ordered))
+            f.write(line + "\n")
 
 
 def read_pharaoh(path) -> list[set[tuple[int, int]]]:

@@ -8,6 +8,7 @@ manifest with a content hash per artifact.
 """
 
 import argparse
+import functools
 import gc
 import hashlib
 import json
@@ -518,6 +519,7 @@ def cmd_pipeline_run(args) -> int:
             fwd_links, align.read_pharaoh(rev_paths[1]), cfg.aligner.heuristic,
             artifact("align/sym.align"),
         )
+        del fwd_links  # the later stages read only the symmetrized links
 
         stage = "lexicon"
         table = _build_and_save_table(corpus, sym, cfg.min_count, artifact("lexicon/table.tsv"))
@@ -554,7 +556,10 @@ def cmd_pipeline_run(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    returns a new namespace on every call and no argument keeps state."""
     parser = argparse.ArgumentParser(
         prog="tagcopy",
         description="corpus toolkit: word alignment, entity tagging templates, evaluation",
@@ -695,14 +700,11 @@ def main(argv=None) -> int:
     # The stages build lists, tuples, sets, dicts, frozen dataclasses and
     # arrays that form no reference cycle, so reference counting frees them
     # all; the cyclic collector would only rescan them. It is off until the
-    # subcommand returns, and the state found at entry is then restored. The
-    # parser is the one structure with cycles: built with the collector off,
-    # it lies whole in the youngest generation, which one small pass frees.
+    # subcommand returns, and the state found at entry is then restored.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         args = build_parser().parse_args(argv)
-        gc.collect(0)
         logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
         return args.func(args)
     except ToolkitError as exc:

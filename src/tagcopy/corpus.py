@@ -77,17 +77,21 @@ class ParallelCorpus:
 
 
 def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file, without their newlines: the lines
-    iterating the file yields, so a line breaks only at a newline, never
-    at U+2028, U+0085 or another break ``str.splitlines`` knows. A file
-    that is not UTF-8 raises MalformedFile naming the path."""
-    with open(path, encoding="utf-8") as f:
+    """The lines of a UTF-8 text file, without their newlines: a line
+    breaks only at a newline, never at a lone carriage return, U+2028,
+    U+0085 or another break ``str.splitlines`` knows, and one carriage
+    return before the newline (a CRLF line end) is dropped. A file that is
+    not UTF-8 raises MalformedFile naming the path."""
+    with open(path, encoding="utf-8", newline="\n") as f:
         try:
-            lines = f.read().split("\n")
+            text = f.read()
         except UnicodeDecodeError as exc:
             raise MalformedFile(f"{path}: not UTF-8 text ({exc.reason})") from None
+    lines = text.split("\n")
     if not lines[-1]:  # the text after the last newline
         lines.pop()
+    if "\r" in text:
+        lines = [line.removesuffix("\r") for line in lines]
     return lines
 
 
@@ -157,7 +161,8 @@ def read_records(path, parse, tsv: int = 0) -> list:
     ``path:line``; a file that is not UTF-8 raises it naming the path.
     """
     records = []
-    with open(path, encoding="utf-8") as f:
+    # a line ends at a newline only, as in read_lines
+    with open(path, encoding="utf-8", newline="\n") as f:
         try:
             for n, line in enumerate(f, 1):
                 if not line.strip():
@@ -165,7 +170,7 @@ def read_records(path, parse, tsv: int = 0) -> list:
                 if not tsv:
                     records.append(parse(json.loads(line)))
                     continue
-                fields = line.rstrip("\n").split("\t")
+                fields = line.removesuffix("\n").removesuffix("\r").split("\t")
                 if len(fields) != tsv:
                     raise MalformedFile(
                         f"{path}:{n}: {len(fields)} tab-separated fields, expected {tsv}"

@@ -68,6 +68,12 @@ def bleu(hypotheses, references, max_n: int = 4, subset=None) -> BleuScore:
         ref = references[k]
         hyp_len += len(hyp)
         ref_len += len(ref)
+        if hyp == ref:
+            # a line equal to its reference matches each of its n-grams
+            for n in range(1, min(max_n, len(hyp)) + 1):
+                matches[n - 1] += len(hyp) - n + 1
+                totals[n - 1] += len(hyp) - n + 1
+            continue
         hgrams, rgrams = hyp, ref
         for n in range(1, min(max_n, len(hyp)) + 1):
             if n > 1:

@@ -626,6 +626,32 @@ class TestEvalCommands:
         header = (tmp_path / "bleu.tsv").read_text(encoding="utf-8").splitlines()[0]
         assert header.startswith("score\tp1")
 
+    def test_one_parser_carries_nothing_between_calls(self, tmp_path, toy_dir):
+        # main reuses one parser per process: a plain eval-bleu after a
+        # tag-only, --max-n 2 call writes what the same call alone writes
+        assert cli.build_parser() is cli.build_parser()
+        ref = toy_dir / "tgt.zz"
+        hyp = tmp_path / "hyp"
+        hyp.write_text("".join(
+            " ".join(line.split()[::-1 if k % 3 else 1]) + "\n"
+            for k, line in enumerate(ref.read_text(encoding="utf-8").splitlines())
+        ), encoding="utf-8")
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text('{"line_no": 1}\n{"line_no": 3}\n', encoding="utf-8")
+        plain = ["eval-bleu", "--hyp", str(hyp), "--ref", str(ref)]
+        assert cli.main([*plain, "--subset", "tag-only", "--manifest", str(manifest),
+                         "--max-n", "2", "--tsv", str(tmp_path / "first.tsv")]) == 0
+        assert cli.main([*plain, "--tsv", str(tmp_path / "second.tsv")]) == 0
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        code = "import sys, tagcopy.cli; sys.exit(tagcopy.cli.main(sys.argv[1:]))"
+        subprocess.run([sys.executable, "-c", code, *plain, "--tsv", str(tmp_path / "alone.tsv")],
+                       env={**os.environ, "PYTHONPATH": src}, capture_output=True, check=True,
+                       timeout=60)
+        second = (tmp_path / "second.tsv").read_text(encoding="utf-8")
+        assert second == (tmp_path / "alone.tsv").read_text(encoding="utf-8")
+        assert second != (tmp_path / "first.tsv").read_text(encoding="utf-8")
+        assert second.startswith("score\tp1\tp2\tp3\tp4\t")
+
     def test_bleu_signature(self, tmp_path, toy_dir, prepared, capsys):
         tagger = TestTagApply()
         _, _, _, manifest = tagger._tag(tmp_path, toy_dir, prepared, "tag")
@@ -1122,9 +1148,9 @@ class TestCollector:
     def test_garbage_does_not_grow_with_the_corpus(self, tmp_path, toy_dir):
         # the stages build no reference cycles, so what reference counting
         # cannot free does not depend on the corpus: a cycle per pair would
-        # add at least 600 here. main frees the parser's cycles (about 800
-        # objects) itself; what is left is the closures of the JSON encoder
-        # that writes stage_manifest.json (33 objects)
+        # add at least 600 here. The parser, built once per process, stays
+        # reachable; what is left is the closures of the JSON encoder that
+        # writes stage_manifest.json (33 objects)
         once = self._garbage_after_run(tmp_path, toy_dir, 1)
         four_times = self._garbage_after_run(tmp_path, toy_dir, 4)
         assert abs(four_times - once) <= 50, (once, four_times)

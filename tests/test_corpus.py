@@ -11,6 +11,7 @@ from tagcopy.corpus import (
     NormProfile,
     read_lines,
     read_parallel,
+    read_records,
     split_holdout,
     tokenize_normalize,
     write_parallel,
@@ -142,7 +143,7 @@ NOT_NEWLINES = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1
 class TestReadLines:
     @pytest.mark.parametrize("text, lines", [
         ("", []), ("\n", [""]), ("a\nb", ["a", "b"]), ("a\nb\n", ["a", "b"]),
-        ("a\n\nb\n\n", ["a", "", "b", ""]), ("a\r\nb\rc\n", ["a", "b", "c"]),
+        ("a\n\nb\n\n", ["a", "", "b", ""]), ("a\r\nb\rc\n", ["a", "b\rc"]),
     ])
     def test_lines_without_their_newlines(self, tmp_path, text, lines):
         (tmp_path / "a").write_bytes(text.encode())
@@ -156,10 +157,28 @@ class TestReadLines:
         corpus = read_parallel(tmp_path / "a", tmp_path / "b")
         assert [(p.src, p.line_no) for p in corpus.pairs] == [(["x", "y", "z"], 0), (["w"], 1)]
 
+    def test_a_stray_carriage_return_does_not_shift_one_side(self, tmp_path):
+        # a lone "\r" is whitespace inside its line, so line i of each file
+        # is still pair i: split at each "\r", both files would hold three
+        # lines and pair y with 2; CRLF line ends read as newlines
+        (tmp_path / "a").write_bytes(b"x\ry\r\nw\r\n")
+        (tmp_path / "b").write_bytes(b"1\n2\r3\n")
+        corpus = read_parallel(tmp_path / "a", tmp_path / "b")
+        assert [(p.src, p.tgt, p.line_no) for p in corpus.pairs] == [
+            (["x", "y"], ["1"], 0), (["w"], ["2", "3"], 1)]
+
     def test_not_utf8_names_the_path(self, tmp_path):
         (tmp_path / "a").write_bytes(b"ok\n\xff\n")
         with pytest.raises(MalformedFile, match="^" + re.escape(f"{tmp_path / 'a'}: not UTF-8")):
             read_lines(tmp_path / "a")
+
+
+def test_records_break_only_at_newlines(tmp_path):
+    # as in read_lines: a lone "\r" stays in its field and the "\r" of a
+    # CRLF line end is dropped
+    (tmp_path / "a.tsv").write_bytes(b"k\tv\r\nx\ry\tz\n")
+    assert read_records(tmp_path / "a.tsv", lambda a, b: (a, b), tsv=2) == [
+        ("k", "v"), ("x\ry", "z")]
 
 
 class TestSplitHoldout:

@@ -115,7 +115,7 @@ class TestTableFile:
         assert lines == ["a\tx\t2\t1.000000", "b\ty\t1\t0.500000"]
 
     def test_crlf_line_ends_read_as_newlines(self, tmp_path):
-        # the file is read in universal-newline mode, so no "\r" reaches the
+        # the reader drops the "\r" of a CRLF line end, so none reaches the
         # probability field: a CRLF table loads as its LF twin
         (tmp_path / "table.tsv").write_bytes(b"a\tx\t2\t1.000000\r\nb\ty\t1\t0.500000\r\n")
         assert load_table(tmp_path / "table.tsv") == TranslationTable(

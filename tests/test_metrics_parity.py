@@ -26,12 +26,21 @@ def bleu_inputs(draw):
     line = st.lists(st.sampled_from(vocab), max_size=12)
     hyps = draw(st.lists(line, min_size=1, max_size=8))
     refs = draw(st.lists(line, min_size=len(hyps), max_size=len(hyps)))
+    # about half the hypotheses copy their reference: bleu scores a line
+    # equal to its reference without counting its n-grams
+    copied = draw(st.lists(st.booleans(), min_size=len(hyps), max_size=len(hyps)))
+    hyps = [list(ref) if copy else hyp for hyp, ref, copy in zip(hyps, refs, copied)]
     subset = draw(st.none() | st.sets(st.integers(0, len(hyps) - 1)))
     return hyps, refs, draw(st.integers(1, 6)), subset
 
 
 @settings(max_examples=300, deadline=None)
 @given(bleu_inputs())
+@example(([[]], [[]], 4, None))  # an empty pair
+@example(([["a", "b"], ["a", "b", "c"]], [["a", "b"], ["b", "c", "a"]], 4, None))  # equal, < max_n
+# an equal line inside the subset (line 0) and one outside it (line 2)
+@example(([["a", "b", "c"], ["a", "b", "c"], ["b", "a"]],
+          [["a", "b", "c"], ["c", "b", "a"], ["b", "a"]], 2, {0, 1}))
 def test_bleu_equals_reference(args):
     hyps, refs, max_n, subset = args
     got = _outcome(bleu, hyps, refs, max_n=max_n, subset=subset)
