@@ -558,7 +558,9 @@ def read_pharaoh(path) -> list[set[tuple[int, int]]]:
     # token -> (i, j): a file repeats a few hundred distinct links, so each
     # is checked and converted once and the lines are mapped at C speed
     known: dict[str, tuple[int, int]] = {}
-    with open(path, encoding="utf-8") as f:
+    # newline="\n": a line ends only at a newline, as in corpus.read_lines;
+    # a lone "\r" separates links like a space
+    with open(path, encoding="utf-8", newline="\n") as f:
         try:
             for line in f:
                 parts = line.split()

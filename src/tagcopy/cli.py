@@ -10,7 +10,6 @@ manifest with a content hash per artifact.
 import argparse
 import functools
 import gc
-import hashlib
 import json
 import logging
 import operator
@@ -53,9 +52,21 @@ def _add_profile_flags(p):
     p.add_argument("--keep-accents", action="store_true", help="keep combining accents")
 
 
-def read_token_lines(path) -> list[list[str]]:
-    """Read a tokenized file verbatim (no normalization), one line per row."""
-    return [line.split() for line in read_lines(path)]
+def read_token_lines(path, rows=None) -> list[list[str] | tuple[()]]:
+    """Read a tokenized file verbatim (no normalization), one line per row.
+    Given a set of line indices ``rows``, only those lines are split, their
+    tokens interned; every other line reads as ``()``, one shared empty
+    row, so the list keeps the file's length and line numbers."""
+    return _token_rows(read_lines(path), rows)
+
+
+def _token_rows(lines, rows=None) -> list[list[str] | tuple[()]]:
+    if rows is None:
+        return [line.split() for line in lines]
+    # interned, the scored rows of the files one command reads share one str
+    # per distinct token; [*map()] spares a list() call per line
+    intern = sys.intern
+    return [[*map(intern, line.split())] if k in rows else () for k, line in enumerate(lines)]
 
 
 def write_token_lines(rows, path) -> None:
@@ -381,15 +392,15 @@ def _manifest_subset(path) -> set[int]:
 
 
 def cmd_eval_bleu(args) -> int:
-    hyps = read_token_lines(args.hyp)
-    refs = read_token_lines(args.ref)
-    if len(hyps) != len(refs):
-        raise CountMismatch(f"{args.hyp} has {len(hyps)} lines but {args.ref} has {len(refs)}")
     subset = None
     if args.subset == "tag-only":
         if not args.manifest:
             raise ConfigError("missing required option --manifest (subset is 'tag-only')")
         subset = _manifest_subset(args.manifest)
+    hyps = read_token_lines(args.hyp, subset)
+    refs = read_token_lines(args.ref, subset)
+    if len(hyps) != len(refs):
+        raise CountMismatch(f"{args.hyp} has {len(hyps)} lines but {args.ref} has {len(refs)}")
     # with the line counts checked, a subset line outside the hypotheses is
     # the only CountMismatch left: a manifest made for another corpus
     with _naming(args.manifest, CountMismatch):
@@ -418,7 +429,7 @@ def cmd_eval_copy(args) -> int:
     else:
         raise ConfigError(f"--method is required: {args.manifest} mixes methods "
                           f"{sorted(m.value for m in methods)}")
-    outputs = read_token_lines(args.outputs)
+    outputs = read_token_lines(args.outputs, {entry.line_no for entry in manifest})
     with _naming(args.manifest, CountMismatch):
         report = metrics.copy_accuracy(manifest, outputs, method)
     print(metrics.format_copy_report(report))
@@ -429,22 +440,29 @@ def cmd_eval_copy(args) -> int:
 
 def cmd_eval_pos(args) -> int:
     manifest = _scored_manifest(args.manifest)
-    system_outputs = read_token_lines(args.system)
-    baseline_outputs = read_token_lines(args.baseline)
-    references = read_token_lines(args.ref)
-    pos_tags = read_token_lines(args.pos)
-    src = read_token_lines(args.src)
-    alignments = align.read_pharaoh(args.alignments)
-    for path, rows in ((args.pos, pos_tags), (args.alignments, alignments),
+    # only the manifest's lines are scored: every line is checked, but the
+    # other rows are kept as one shared empty row. The links are read first,
+    # while nothing else is held: they are the largest rows.
+    scored = {entry.line_no for entry in manifest}
+    no_links = frozenset()
+    alignments = [links if k in scored else no_links
+                  for k, links in enumerate(align.read_pharaoh(args.alignments))]
+    system_outputs = read_token_lines(args.system, scored)
+    baseline_outputs = read_token_lines(args.baseline, scored)
+    references = read_token_lines(args.ref, scored)
+    pos_lines = read_lines(args.pos)
+    src_lengths = [len(line.split()) for line in read_lines(args.src)]
+    for path, rows in ((args.pos, pos_lines), (args.alignments, alignments),
                        (args.ref, references), (args.system, system_outputs),
                        (args.baseline, baseline_outputs)):
-        if len(rows) != len(src):
-            raise CountMismatch(f"{path} has {len(rows)} rows but {args.src} has {len(src)}")
-    for k, (tags, tokens) in enumerate(zip(pos_tags, src), 1):
-        if len(tags) != len(tokens):
+        if len(rows) != len(src_lengths):
             raise CountMismatch(
-                f"{args.pos}:{k}: {len(tags)} POS tags for {len(tokens)} source tokens"
+                f"{path} has {len(rows)} rows but {args.src} has {len(src_lengths)}"
             )
+    for k, (line, n_tokens) in enumerate(zip(pos_lines, src_lengths), 1):
+        if (n_tags := len(line.split())) != n_tokens:
+            raise CountMismatch(f"{args.pos}:{k}: {n_tags} POS tags for {n_tokens} source tokens")
+    pos_tags = _token_rows(pos_lines, scored)
     # with the row counts checked, a record whose line_no is outside the inputs
     # is the only CountMismatch left
     with (_naming(args.manifest, (MalformedFile, CountMismatch)),
@@ -463,6 +481,8 @@ def cmd_eval_pos(args) -> int:
 
 
 def _sha256(path: Path) -> str:
+    import hashlib  # here: only pipeline-run hashes, and the import costs about 3.6 MB
+
     h = hashlib.sha256()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(65536), b""):

@@ -15,8 +15,6 @@ accepted, and the CLI takes its defaults from the same fields.
 import os
 from dataclasses import dataclass, field, fields
 
-import yaml
-
 from .align import HEURISTICS
 from .corpus import NormProfile
 from .errors import ConfigError, MalformedFile
@@ -142,6 +140,10 @@ def check_linker(linker: LinkerParams) -> None:
 
 def load_config(path) -> PipelineConfig:
     """Parse and validate the YAML config; every complaint names its field."""
+    # imported here, as only pipeline-run reads a config, and before the try:
+    # the except clause below looks up yaml.YAMLError when open() raises
+    import yaml
+
     try:
         with open(path, encoding="utf-8") as f:
             data = yaml.safe_load(f)

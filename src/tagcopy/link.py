@@ -18,7 +18,6 @@ import logging
 import operator
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .corpus import (NormProfile, TokenSeq, check_json_values, read_records,
@@ -253,6 +252,8 @@ def annotate_corpus(client, sentences: list[TokenSeq], max_in_flight: int = 4):
     a later in-place change to one line's mentions leaves the others as
     they were.
     """
+    from concurrent.futures import ThreadPoolExecutor  # here: only remote annotation uses it
+
     texts = [" ".join(s) for s in sentences]
     first: dict[str, TokenSeq] = {}
     for text, sentence in zip(texts, sentences):

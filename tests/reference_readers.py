@@ -43,7 +43,7 @@ def read_pharaoh(path) -> list[set[tuple[int, int]]]:
     """One set of (i, j) links per line of ``i-j`` tokens, each index bare
     digits; a malformed file raises MalformedFile naming path:line."""
     sets = []
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8", newline="\n") as f:  # a line ends only at "\n"
         # one handler around the whole read keeps the per-token loop bare
         try:
             for line in f:

@@ -371,6 +371,15 @@ class TestPersistence:
         write_pharaoh(sets, tmp_path / "a.align")
         assert read_pharaoh(tmp_path / "a.align") == sets
 
+    @pytest.mark.parametrize("data", [b"0-0\r1-1\n2-2\n", b"0-0 1-1\r\n2-2\r\n"],
+                             ids=["lone-cr", "crlf"])
+    def test_pharaoh_line_ends_only_at_a_newline(self, tmp_path, data):
+        # a lone "\r" separates links like a space, as in corpus.read_lines,
+        # so later lines keep their pairs; a CRLF file reads as its LF twin
+        path = tmp_path / "a.align"
+        path.write_bytes(data)
+        assert read_pharaoh(path) == [{(0, 0), (1, 1)}, {(2, 2)}]
+
     def test_pharaoh_is_sorted(self, tmp_path):
         write_pharaoh([{(2, 1), (0, 0), (1, 5)}], tmp_path / "a.align")
         assert (tmp_path / "a.align").read_text(encoding="utf-8") == "0-0 1-5 2-1\n"

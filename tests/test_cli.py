@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from tagcopy import align, cli, lexicon, link, template
+from tagcopy import align, cli, lexicon, link, metrics, template
 from tagcopy.config import (
     SECTION_KEYS,
     TOP_KEYS,
@@ -772,6 +772,102 @@ class TestEvalCommands:
         assert "Traceback" not in err
 
 
+class TestScoredRows:
+    """eval-pos, eval-copy and eval-bleu --subset tag-only split only the
+    lines their manifest tags, yet check every line as before."""
+
+    @pytest.fixture
+    def tagged(self, tmp_path, toy_dir, prepared):
+        """An imperfect system output, an imperfect raw output of the tag
+        method, its manifest and the lines it tags: a strict subset."""
+        rc, _, out_tgt, manifest = TestTagApply()._tag(tmp_path, toy_dir, prepared, "tag")
+        assert rc == 0
+        lines = {entry.line_no for entry in read_manifest(manifest)}
+        assert 0 < len(lines) < 200
+        system = tmp_path / "system.zz"
+        system.write_text("".join(
+            " ".join(tokens[1:] if k % 3 == 0 else tokens[::-1]) + "\n"
+            for k, tokens in enumerate(cli.read_token_lines(toy_dir / "tgt.zz"))
+        ), encoding="utf-8")
+        raw = cli.read_token_lines(out_tgt)
+        for k in sorted(lines)[::2]:
+            raw[k][raw[k].index(template.SPECIAL_VOCAB.start) + 1] = "garbled"
+        raw_out = tmp_path / "raw.zz"
+        cli.write_token_lines(raw, raw_out)
+        return system, raw_out, manifest, lines
+
+    def test_read_token_lines_splits_only_the_rows_asked_for(self, toy_dir):
+        full = cli.read_token_lines(toy_dir / "tgt.zz")
+        some = cli.read_token_lines(toy_dir / "tgt.zz", {0, 5, 500})
+        assert len(some) == len(full)
+        assert [k for k, row in enumerate(some) if row] == [0, 5]
+        assert some[0] == full[0] and some[5] == full[5]
+        assert all(token is sys.intern(token) for token in some[5])
+
+    def test_reports_match_fully_read_rows(self, tmp_path, toy_dir, tagged):
+        system, raw_out, manifest, lines = tagged
+        ref, pos, gold = toy_dir / "tgt.zz", toy_dir / "pos.en", toy_dir / "gold.align"
+        full = cli.read_token_lines
+        entries = read_manifest(manifest)
+        want = tmp_path / "want"
+        want.mkdir()
+        metrics.write_pos_tsv(metrics.pos_accuracy(
+            full(system), full(ref), entries, full(pos), align.read_pharaoh(gold), full(ref),
+            resamples=50, seed=0,
+        ), want / "pos.tsv")
+        metrics.write_copy_tsv(metrics.copy_accuracy(entries, full(raw_out),
+                                                     template.TemplateMethod.TAG),
+                               want / "copy.tsv")
+        metrics.write_bleu_tsv(metrics.bleu(full(system), full(ref), subset=lines),
+                               want / "bleu.tsv")
+        for argv in (
+            ["eval-pos", "--system", system, "--baseline", ref, "--manifest", manifest,
+             "--pos", pos, "--alignments", gold, "--ref", ref, "--src", toy_dir / "src.en",
+             "--resamples", "50", "--out", tmp_path / "pos.tsv"],
+            ["eval-copy", "--outputs", raw_out, "--manifest", manifest,
+             "--tsv", tmp_path / "copy.tsv"],
+            ["eval-bleu", "--hyp", system, "--ref", ref, "--subset", "tag-only",
+             "--manifest", manifest, "--tsv", tmp_path / "bleu.tsv"],
+        ):
+            assert cli.main([str(a) for a in argv]) == 0, argv[0]
+        for name in ("pos.tsv", "copy.tsv", "bleu.tsv"):
+            assert (tmp_path / name).read_bytes() == (want / name).read_bytes(), name
+        pos_rows = (want / "pos.tsv").read_text(encoding="utf-8").splitlines()[1:]
+        assert any(row.split("\t")[4] != "+0.00" for row in pos_rows)  # the systems differ
+
+    @pytest.mark.parametrize("fault", ["pos", "link", "system", "baseline", "ref", "alignments"])
+    def test_untagged_lines_are_still_checked(self, tmp_path, toy_dir, tagged, capsys, fault):
+        system, _, manifest, lines = tagged
+        untagged = min(set(range(200)) - lines)
+        src = toy_dir / "src.en"
+        inputs = {"system": system, "baseline": toy_dir / "tgt.zz", "ref": toy_dir / "tgt.zz",
+                  "pos": toy_dir / "pos.en", "alignments": toy_dir / "gold.align"}
+        name = "alignments" if fault == "link" else fault
+        rows = inputs[name].read_text(encoding="utf-8").splitlines(keepends=True)
+        if fault == "pos":
+            rows[untagged] = "NOUN " + rows[untagged]
+        elif fault == "link":
+            rows[untagged] = "x-1 " + rows[untagged]
+        else:
+            del rows[untagged]
+        bad = inputs[name] = tmp_path / f"bad.{name}"
+        bad.write_text("".join(rows), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main([str(a) for a in (
+            "eval-pos", "--system", inputs["system"], "--baseline", inputs["baseline"],
+            "--manifest", manifest, "--pos", inputs["pos"], "--alignments", inputs["alignments"],
+            "--ref", inputs["ref"], "--src", src, "--resamples", "50",
+        )]) == 2
+        n = len(src.read_text(encoding="utf-8").splitlines()[untagged].split())
+        message = {
+            "pos": f"{bad}:{untagged + 1}: {n + 1} POS tags for {n} source tokens",
+            "link": f"{bad}:{untagged + 1}: bad link 'x-1', expected i-j",
+        }.get(fault, f"{bad} has 199 rows but {src} has 200")
+        err = capsys.readouterr().err
+        assert f"error: {message}\n" in err
+        assert "Traceback" not in err
+
+
 class TestImperfectModelOutput:
     def test_degraded_output_flows_through_eval(self, tmp_path, toy_dir, prepared, capsys):
         # a "model" that drops one tag region and corrupts another: scoring
@@ -1314,6 +1410,15 @@ class TestConfig:
         assert f"error: {config}{message}" in err
         assert "Traceback" not in err
 
+    def test_a_missing_config_exits_2(self, tmp_path, capsys):
+        # load_config imports yaml before it opens the file: its except
+        # clause reads yaml.YAMLError when open() raises
+        config = tmp_path / "nope.yaml"
+        assert cli.main(["pipeline-run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: [Errno 2] No such file or directory: '{config}'" in err
+        assert "Traceback" not in err
+
     def test_unknown_key(self, tmp_path, toy_dir):
         config = write_config(tmp_path / "c.yaml", toy_dir, tmp_path / "w", typo="x")
         with pytest.raises(ConfigError, match="unknown key: typo"):
@@ -1424,6 +1529,19 @@ def test_cli_import_loads_neither_requests_nor_numpy():
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     code = "import sys, tagcopy.cli; print(sorted({'requests', 'numpy'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_module_one_subcommand_needs():
+    # yaml is read only by pipeline-run's config, concurrent.futures only by
+    # remote annotation, hashlib only by pipeline-run's stage manifest and
+    # numpy only by the aligner: a standalone detag or eval-* loads none
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, tagcopy.cli; "
+            "print(sorted({'yaml', 'concurrent.futures', 'hashlib', 'numpy'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "[]"
