@@ -49,7 +49,7 @@ from copy import copy
 from dataclasses import dataclass, field
 from itertools import count
 
-from .corpus import ParallelCorpus, SentencePair
+from .corpus import LineRows, ParallelCorpus, SentencePair, read_lines
 from .errors import (
     EmptyCorpus,
     EmptyPair,
@@ -419,13 +419,15 @@ def align_corpus(model: AlignModel, corpus: ParallelCorpus) -> list[set[tuple[in
     cells = _cells(model, corpus)
     link_sets: list = [None] * len(corpus.pairs)
     forward = model.direction == FORWARD
+    # one tuple per distinct link, shared by every set, as read_pharaoh reads them
+    one = {}.setdefault
     for _m, n, ids, block in cells.blocks(model.theta.probs):
         real = block[:, :, :n]
         best = real.max(axis=2)
         chosen = np.where((best > 0.0) & (best >= block[:, :, n]), real.argmax(axis=2), -1)
         for k, row in zip(ids, chosen.tolist()):
-            link_sets[k] = ({(i, j) for j, i in enumerate(row) if i >= 0} if forward
-                            else {(j, i) for j, i in enumerate(row) if i >= 0})
+            link_sets[k] = ({one((i, j), (i, j)) for j, i in enumerate(row) if i >= 0} if forward
+                            else {one((j, i), (j, i)) for j, i in enumerate(row) if i >= 0})
     return link_sets
 
 
@@ -551,6 +553,21 @@ def write_pharaoh(link_sets, path) -> None:
             f.write(line + "\n")
 
 
+def _link(part: str, path, line: int) -> tuple[int, int]:
+    """The (i, j) link of one ``i-j`` token, each index bare digits; else
+    MalformedFile naming ``path:line``."""
+    # isdecimal() is what int() reads, less a sign, underscores and
+    # surrounding spaces; int() still refuses more digits than
+    # sys.get_int_max_str_digits()
+    i, _, j = part.partition("-")
+    try:
+        if not (i.isdecimal() and j.isdecimal()):
+            raise ValueError
+        return int(i), int(j)
+    except ValueError:
+        raise MalformedFile(f"{path}:{line}: bad link {part!r}, expected i-j") from None
+
+
 def read_pharaoh(path) -> list[set[tuple[int, int]]]:
     """One set of (i, j) links per line of ``i-j`` tokens, each index bare
     digits; a malformed file raises MalformedFile naming path:line."""
@@ -568,25 +585,26 @@ def read_pharaoh(path) -> list[set[tuple[int, int]]]:
                     links = set(map(known.__getitem__, parts))
                 except KeyError:
                     for part in parts:
-                        if part in known:
-                            continue
-                        # isdecimal() is what int() reads, less a sign,
-                        # underscores and surrounding spaces; int() still
-                        # refuses more digits than sys.get_int_max_str_digits()
-                        i, _, j = part.partition("-")
-                        try:
-                            if not (i.isdecimal() and j.isdecimal()):
-                                raise ValueError
-                            known[part] = (int(i), int(j))
-                        except ValueError:
-                            raise MalformedFile(
-                                f"{path}:{len(sets) + 1}: bad link {part!r}, expected i-j"
-                            ) from None
+                        if part not in known:
+                            known[part] = _link(part, path, len(sets) + 1)
                     links = set(map(known.__getitem__, parts))
                 sets.append(links)
         except UnicodeDecodeError as exc:
             raise MalformedFile(f"{path}: not UTF-8 text ({exc.reason})") from None
     return sets
+
+
+def read_pharaoh_lines(path) -> LineRows:
+    """The link sets :func:`read_pharaoh` reads, as rows built when they are
+    read (see :class:`~tagcopy.corpus.LineRows`): only the file's lines are
+    held. Every line is checked here, with read_pharaoh's rule."""
+    lines = read_lines(path)
+    known: dict[str, tuple[int, int]] = {}
+    for n, line in enumerate(lines, 1):
+        for part in line.split():
+            if part not in known:
+                known[part] = _link(part, path, n)
+    return LineRows(lines, lambda line: set(map(known.__getitem__, line.split())))
 
 
 def save_model(model: AlignModel, path) -> None:

@@ -29,6 +29,7 @@ from .config import (
     parse_vocab,
 )
 from .corpus import (
+    LineRows,
     NormProfile,
     read_lines,
     read_parallel,
@@ -52,21 +53,11 @@ def _add_profile_flags(p):
     p.add_argument("--keep-accents", action="store_true", help="keep combining accents")
 
 
-def read_token_lines(path, rows=None) -> list[list[str] | tuple[()]]:
-    """Read a tokenized file verbatim (no normalization), one line per row.
-    Given a set of line indices ``rows``, only those lines are split, their
-    tokens interned; every other line reads as ``()``, one shared empty
-    row, so the list keeps the file's length and line numbers."""
-    return _token_rows(read_lines(path), rows)
-
-
-def _token_rows(lines, rows=None) -> list[list[str] | tuple[()]]:
-    if rows is None:
-        return [line.split() for line in lines]
-    # interned, the scored rows of the files one command reads share one str
-    # per distinct token; [*map()] spares a list() call per line
-    intern = sys.intern
-    return [[*map(intern, line.split())] if k in rows else () for k, line in enumerate(lines)]
+def read_token_lines(path) -> LineRows:
+    """A tokenized file read verbatim (no normalization): a read-only
+    sequence whose row k is line k split on whitespace, split each time it
+    is read (see :class:`~tagcopy.corpus.LineRows`)."""
+    return LineRows(read_lines(path))
 
 
 def write_token_lines(rows, path) -> None:
@@ -373,14 +364,18 @@ def cmd_detag(args) -> int:
         raise ConfigError(f"missing required option --table (needed by method {method.value!r})")
     vocab = parse_vocab(args.vocab)
     table = lexicon.load_table(args.table) if args.table else lexicon.TranslationTable({})
+    # read whole before --out is opened, so an input that is not UTF-8
+    # leaves no output; each line is then written as it is detagged
     rows = read_token_lines(args.infile)
-    out = []
     incidents = 0
-    for row in rows:
-        detagged, bad = template.detag(row, method, table, vocab)
-        out.append(detagged)
+
+    def detagged(row):
+        nonlocal incidents
+        out, bad = template.detag(row, method, table, vocab)
         incidents += bad
-    write_token_lines(out, args.out)
+        return out
+
+    write_token_lines(map(detagged, rows), args.out)
     if incidents:
         log.warning("%d malformed tag region(s) encountered", incidents)
     return 0
@@ -397,8 +392,8 @@ def cmd_eval_bleu(args) -> int:
         if not args.manifest:
             raise ConfigError("missing required option --manifest (subset is 'tag-only')")
         subset = _manifest_subset(args.manifest)
-    hyps = read_token_lines(args.hyp, subset)
-    refs = read_token_lines(args.ref, subset)
+    hyps = read_token_lines(args.hyp)
+    refs = read_token_lines(args.ref)
     if len(hyps) != len(refs):
         raise CountMismatch(f"{args.hyp} has {len(hyps)} lines but {args.ref} has {len(refs)}")
     # with the line counts checked, a subset line outside the hypotheses is
@@ -429,7 +424,7 @@ def cmd_eval_copy(args) -> int:
     else:
         raise ConfigError(f"--method is required: {args.manifest} mixes methods "
                           f"{sorted(m.value for m in methods)}")
-    outputs = read_token_lines(args.outputs, {entry.line_no for entry in manifest})
+    outputs = read_token_lines(args.outputs)
     with _naming(args.manifest, CountMismatch):
         report = metrics.copy_accuracy(manifest, outputs, method)
     print(metrics.format_copy_report(report))
@@ -439,30 +434,28 @@ def cmd_eval_copy(args) -> int:
 
 
 def cmd_eval_pos(args) -> int:
-    manifest = _scored_manifest(args.manifest)
-    # only the manifest's lines are scored: every line is checked, but the
-    # other rows are kept as one shared empty row. The links are read first,
-    # while nothing else is held: they are the largest rows.
-    scored = {entry.line_no for entry in manifest}
-    no_links = frozenset()
-    alignments = [links if k in scored else no_links
-                  for k, links in enumerate(align.read_pharaoh(args.alignments))]
-    system_outputs = read_token_lines(args.system, scored)
-    baseline_outputs = read_token_lines(args.baseline, scored)
-    references = read_token_lines(args.ref, scored)
-    pos_lines = read_lines(args.pos)
+    # --src is read first, while nothing else is held, for its token counts
+    # alone; the other inputs keep their lines, every line checked here, and
+    # a row is split, or a link set built, when pos_accuracy reads it
     src_lengths = [len(line.split()) for line in read_lines(args.src)]
-    for path, rows in ((args.pos, pos_lines), (args.alignments, alignments),
+    manifest = _scored_manifest(args.manifest)
+    alignments = align.read_pharaoh_lines(args.alignments)
+    system_outputs = read_token_lines(args.system)
+    baseline_outputs = read_token_lines(args.baseline)
+    references = read_token_lines(args.ref)
+    pos_tags = read_token_lines(args.pos)
+    for path, rows in ((args.pos, pos_tags), (args.alignments, alignments),
                        (args.ref, references), (args.system, system_outputs),
                        (args.baseline, baseline_outputs)):
         if len(rows) != len(src_lengths):
             raise CountMismatch(
                 f"{path} has {len(rows)} rows but {args.src} has {len(src_lengths)}"
             )
-    for k, (line, n_tokens) in enumerate(zip(pos_lines, src_lengths), 1):
-        if (n_tags := len(line.split())) != n_tokens:
-            raise CountMismatch(f"{args.pos}:{k}: {n_tags} POS tags for {n_tokens} source tokens")
-    pos_tags = _token_rows(pos_lines, scored)
+    for k, (tags, n_tokens) in enumerate(zip(pos_tags, src_lengths), 1):
+        if len(tags) != n_tokens:
+            raise CountMismatch(
+                f"{args.pos}:{k}: {len(tags)} POS tags for {n_tokens} source tokens"
+            )
     # with the row counts checked, a record whose line_no is outside the inputs
     # is the only CountMismatch left
     with (_naming(args.manifest, (MalformedFile, CountMismatch)),

@@ -11,6 +11,7 @@ import json
 import random
 import sys
 import unicodedata
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import InsufficientData, InvalidParams, LineCountMismatch, MalformedFile
@@ -93,6 +94,29 @@ def read_lines(path) -> list[str]:
     if "\r" in text:
         lines = [line.removesuffix("\r") for line in lines]
     return lines
+
+
+class LineRows(Sequence):
+    """A read-only sequence over ``lines`` whose item k is ``row(lines[k])``,
+    built each time it is read: only the lines are held, and a row lives
+    as long as its reader keeps it. Every read makes a fresh row, so a
+    caller binds a row it reads more than once, and a change to a row is
+    not kept."""
+
+    __slots__ = ("_lines", "_row")
+
+    def __init__(self, lines: list[str], row=str.split):
+        self._lines = lines
+        self._row = row
+
+    def __len__(self) -> int:
+        return len(self._lines)
+
+    def __getitem__(self, k: int):
+        return self._row(self._lines[k])
+
+    def __iter__(self):
+        return map(self._row, self._lines)
 
 
 def read_parallel(src_path, tgt_path, profile: NormProfile = NormProfile()) -> ParallelCorpus:

@@ -6,6 +6,7 @@ summary for humans. Percentages are printed with 2 decimals, BLEU with 2
 decimals, p-values with 4.
 """
 
+import functools
 import math
 import random
 from collections import Counter, defaultdict
@@ -273,7 +274,9 @@ def pos_accuracy(
     the system against the baseline and carry a randomization p-value.
 
     A ``src_span`` past its POS row raises MalformedFile, and a link outside
-    the POS row or the reference raises LengthMismatch.
+    the POS row or the reference raises LengthMismatch. Each input row is
+    read once per manifest entry, so an input may be a sequence that builds
+    a row each time it is read (:class:`~tagcopy.corpus.LineRows`).
     """
     inputs = (system_outputs, baseline_outputs, pos_tags, alignments, references)
     if len(set(map(len, inputs))) != 1:
@@ -301,20 +304,23 @@ def pos_accuracy(
                     f"{len(pos_row)} source tokens"
                 )
             inside.update(range(s, e))
-        check_links(alignments[ln], len(pos_row), len(ref), ln)
+        links = alignments[ln]
+        check_links(links, len(pos_row), len(ref), ln)
         ref_of: dict[int, list[int]] = defaultdict(list)
-        for i, j in alignments[ln]:
+        for i, j in links:
             ref_of[i].append(j)
-        sys_used = [False] * len(system_outputs[ln])
-        base_used = [False] * len(baseline_outputs[ln])
+        sys_out = system_outputs[ln]
+        base_out = baseline_outputs[ln]
+        sys_used = [False] * len(sys_out)
+        base_used = [False] * len(base_out)
         for i, tag in enumerate(pos_row):
             if i in inside or i not in ref_of:
                 continue
             expected = [ref[j] for j in sorted(ref_of[i])]
             where = "pre" if i < first_start else "post"
             sys_flags, base_flags = cells[(tag, where)]
-            sys_flags.append(_claim(expected, system_outputs[ln], sys_used))
-            base_flags.append(_claim(expected, baseline_outputs[ln], base_used))
+            sys_flags.append(_claim(expected, sys_out, sys_used))
+            base_flags.append(_claim(expected, base_out, base_used))
     rows = []
     for tag, where in sorted(cells):
         sys_flags, base_flags = cells[(tag, where)]
@@ -375,9 +381,15 @@ def significance(system_flags, baseline_flags, resamples: int = 10000, seed: int
     m = sum(1 for d in diffs if d)
     if m == 0:
         return 1.0  # every resample ties the observed 0: (resamples + 1) / (resamples + 1)
-    # the same getrandbits(m) per resample, in order, kept as a histogram
-    # of how many disagreeing pairs each resample swaps
-    draws = map(random.Random(seed).getrandbits, repeat(m, resamples))
-    swaps = Counter(map(int.bit_count, draws))
-    hits = sum(c for k, c in swaps.items() if abs(2 * k - m) >= observed)
+    hits = sum(c for k, c in _swap_histogram(m, resamples, seed) if abs(2 * k - m) >= observed)
     return (hits + 1) / (resamples + 1)
+
+
+@functools.cache
+def _swap_histogram(m: int, resamples: int, seed: int) -> tuple[tuple[int, int], ...]:
+    """``(k, resamples swapping k of the m disagreeing pairs)`` for each k
+    drawn: the same getrandbits(m) per resample, in order. The draws depend
+    on these three values alone, so the POS rows of one report, and of the
+    reports of one process, that share an m share one histogram."""
+    draws = map(random.Random(seed).getrandbits, repeat(m, resamples))
+    return tuple(Counter(map(int.bit_count, draws)).items())

@@ -27,6 +27,7 @@ every bundle's components; the manifest is the ground truth the evaluation
 module scores against.
 """
 
+import functools
 import json
 import operator
 from contextlib import ExitStack
@@ -433,27 +434,38 @@ def write_tagged(
                 fm.write(f'{{"line_no": {row}{middle}{text}}}\n')
 
 
-def _bundle(fields: dict) -> BundleRecord:
+def _bundle(strings: dict, fields: dict) -> BundleRecord:
     b = BundleRecord(**fields)
     check_json_values(
         spans=(b.src_span, b.tgt_span),
         tokens=(b.entity, b.translation, b.hypernym, b.hypernym_tgt),
         text=(b.uri,),
     )
+    # one str per distinct token and uri of the file, kept in ``strings``:
+    # sys.intern would keep them for the process, and growing its table past
+    # a resize costs more than the copies it spares
+    one = strings.setdefault
+    for tokens in (b.entity, b.translation, b.hypernym, b.hypernym_tgt):
+        tokens[:] = map(one, tokens, tokens)
+    b.uri = one(b.uri, b.uri)
     return b
 
 
-def _manifest_entry(record) -> ManifestEntry:
+def _manifest_entry(vocabs: dict, strings: dict, record) -> ManifestEntry:
     tv = record["tag_vocab"]
     vocab = (tv["start"], tv["mid1"], tv["mid2"], tv["end"])
     check_json_values(text=vocab)
+    if vocab not in vocabs:
+        vocabs[vocab] = TagVocabulary(*vocab)
     return ManifestEntry(
         operator.index(record["line_no"]),
         TemplateMethod(record["method"]),
-        TagVocabulary(*vocab),
-        [_bundle(b) for b in record["bundles"]],
+        vocabs[vocab],
+        [_bundle(strings, b) for b in record["bundles"]],
     )
 
 
 def read_manifest(path) -> list[ManifestEntry]:
-    return read_records(path, _manifest_entry)
+    """The entries of a manifest file. Entries with equal tag vocabularies
+    share one TagVocabulary, and equal tokens and uris are one str."""
+    return read_records(path, functools.partial(_manifest_entry, {}, {}))

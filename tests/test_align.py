@@ -26,6 +26,7 @@ from tagcopy.align import (
     load_model,
     prune_model,
     read_pharaoh,
+    read_pharaoh_lines,
     save_model,
     symmetrize_links,
     train_alignment,
@@ -379,6 +380,7 @@ class TestPersistence:
         path = tmp_path / "a.align"
         path.write_bytes(data)
         assert read_pharaoh(path) == [{(0, 0), (1, 1)}, {(2, 2)}]
+        assert list(read_pharaoh_lines(path)) == [{(0, 0), (1, 1)}, {(2, 2)}]
 
     def test_pharaoh_is_sorted(self, tmp_path):
         write_pharaoh([{(2, 1), (0, 0), (1, 5)}], tmp_path / "a.align")
@@ -393,6 +395,8 @@ class TestPersistence:
         path.write_text(f"0-0\n1-1 {bad} 2-2\n", encoding="utf-8")
         with pytest.raises(MalformedFile, match=re.escape(f"a.align:2: bad link '{bad}'")):
             read_pharaoh(path)
+        with pytest.raises(MalformedFile, match=re.escape(f"a.align:2: bad link '{bad}'")):
+            read_pharaoh_lines(path)  # every line is checked when the file is read
 
     @pytest.mark.parametrize("dump, where", [
         ("tension\t4.0\np0\t0.08\na\tb\t0.5\textra\n", "m.tsv:3: neither"),
@@ -423,6 +427,17 @@ class TestPersistence:
         path.write_bytes(b"0-0\n\xff\xfe\n")
         with pytest.raises(MalformedFile, match="not UTF-8"):
             read_pharaoh(path)
+        with pytest.raises(MalformedFile, match="not UTF-8"):
+            read_pharaoh_lines(path)
+
+    def test_pharaoh_lines_build_a_set_per_read_of_shared_links(self, tmp_path):
+        path = tmp_path / "a.align"
+        path.write_text("0-0 1-1\n\n1-1\n", encoding="utf-8")
+        rows = read_pharaoh_lines(path)
+        assert len(rows) == 3
+        assert rows[0] == {(0, 0), (1, 1)} and rows[1] == set()
+        assert rows[2] is not rows[2]
+        assert next(iter(rows[2])) is next(link for link in rows[0] if link == (1, 1))
 
 
 class TestBidirectionalDecoding:
@@ -435,6 +450,16 @@ class TestBidirectionalDecoding:
             len(f & r) for f, r in zip(fwd_sets, rev_sets)
         ) / sum(len(p.src) for p in toy_corpus.pairs)
         assert agree > 0.98  # word-for-word corpus, intersection is near-total
+
+    @pytest.mark.parametrize("direction", [FORWARD, REVERSE])
+    def test_equal_links_are_one_tuple(self, toy_corpus, direction):
+        sets = align_corpus(train_alignment(toy_corpus, iterations=2, direction=direction),
+                            toy_corpus)
+        first = {}
+        for links in sets:
+            for link in links:
+                assert first.setdefault(link, link) is link
+        assert sum(map(len, sets)) > len(first)  # pairs do share links
 
 
 @settings(max_examples=200, deadline=None)

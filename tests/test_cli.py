@@ -272,6 +272,7 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert f"{bad}: not UTF-8 text" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()  # the input is read before any output is opened
 
 
 class TestLinkCommands:
@@ -552,7 +553,7 @@ class TestEvalCommands:
         hyp, ref = tmp_path / "hyp", tmp_path / "ref"
         hyp.write_text("a\u2028b c d\ne f g h\n", encoding="utf-8")
         ref.write_text("a b c d\ne f g h\n", encoding="utf-8")
-        assert cli.read_token_lines(hyp) == [["a", "b", "c", "d"], ["e", "f", "g", "h"]]
+        assert list(cli.read_token_lines(hyp)) == [["a", "b", "c", "d"], ["e", "f", "g", "h"]]
         assert cli.main(["eval-bleu", "--hyp", str(hyp), "--ref", str(ref)]) == 0
         assert "BLEU = 100.00" in capsys.readouterr().out
 
@@ -789,20 +790,28 @@ class TestScoredRows:
             " ".join(tokens[1:] if k % 3 == 0 else tokens[::-1]) + "\n"
             for k, tokens in enumerate(cli.read_token_lines(toy_dir / "tgt.zz"))
         ), encoding="utf-8")
-        raw = cli.read_token_lines(out_tgt)
+        raw = list(cli.read_token_lines(out_tgt))  # rows held, so the garbling is kept
         for k in sorted(lines)[::2]:
             raw[k][raw[k].index(template.SPECIAL_VOCAB.start) + 1] = "garbled"
         raw_out = tmp_path / "raw.zz"
         cli.write_token_lines(raw, raw_out)
+        assert raw_out.read_bytes() != out_tgt.read_bytes()
         return system, raw_out, manifest, lines
 
-    def test_read_token_lines_splits_only_the_rows_asked_for(self, toy_dir):
-        full = cli.read_token_lines(toy_dir / "tgt.zz")
-        some = cli.read_token_lines(toy_dir / "tgt.zz", {0, 5, 500})
-        assert len(some) == len(full)
-        assert [k for k, row in enumerate(some) if row] == [0, 5]
-        assert some[0] == full[0] and some[5] == full[5]
-        assert all(token is sys.intern(token) for token in some[5])
+    def test_read_token_lines_splits_a_line_each_time_it_is_read(self, toy_dir):
+        path = toy_dir / "tgt.zz"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        rows = cli.read_token_lines(path)
+        assert len(rows) == len(lines) == 200
+        assert rows[5] == lines[5].split() and rows[-1] == lines[-1].split()
+        assert rows[5] is not rows[5]  # a fresh row on every read
+        rows[5].append("kept?")
+        assert rows[5] == lines[5].split()
+        assert list(rows) == [line.split() for line in lines]
+        with pytest.raises(IndexError):
+            rows[200]
+        with pytest.raises(TypeError):
+            rows[0] = []  # read-only
 
     def test_reports_match_fully_read_rows(self, tmp_path, toy_dir, tagged):
         system, raw_out, manifest, lines = tagged

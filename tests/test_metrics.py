@@ -1,5 +1,7 @@
 import math
 import random
+from collections.abc import Sequence
+from copy import copy
 
 import pytest
 
@@ -18,6 +20,7 @@ from tagcopy.metrics import (
     format_copy_report,
     format_pos_report,
     pos_accuracy,
+    _swap_histogram,
     significance,
     write_copy_tsv,
     write_pos_tsv,
@@ -254,7 +257,35 @@ def _pos_entry(line_no, spans):
     )
 
 
+class CountedRows(Sequence):
+    """Rows built on each read, as corpus.LineRows builds them, counting reads."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.reads = 0
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, k):
+        self.reads += 1
+        return copy(self.rows[k])
+
+
 class TestPosAccuracy:
+    def test_reads_each_row_once_per_entry(self):
+        pos_tags = [["DET", "NOUN", "PROPN", "VERB"], ["PROPN", "VERB", "NOUN"]]
+        references = [["le", "roi", "paris", "vit"], ["rome", "dort", "bien"]]
+        alignments = [{(0, 0), (1, 1), (2, 2), (3, 3)}, {(0, 0), (1, 1), (2, 2)}]
+        system = [["le", "roi", "paris", "vit"], ["rome", "bien"]]
+        baseline = [["la", "roi", "paris"], ["rome", "dort", "bien"]]
+        manifest = [_pos_entry(0, [(2, 3)]), _pos_entry(1, [(0, 1)]), _pos_entry(0, [(2, 3)])]
+        inputs = [system, baseline, pos_tags, alignments, references]
+        counted = [CountedRows(rows) for rows in inputs]
+        want = pos_accuracy(*inputs[:2], manifest, *inputs[2:], resamples=50)
+        assert pos_accuracy(*counted[:2], manifest, *counted[2:], resamples=50) == want
+        assert [rows.reads for rows in counted] == [len(manifest)] * 5
+
     def test_two_sentence_fixture_matches_hand_computation(self):
         pos_tags = [
             ["DET", "NOUN", "VERB", "PROPN", "ADV", "PUNCT"],
@@ -414,6 +445,16 @@ class TestSignificance:
         assert significance(system, baseline, seed=5, resamples=1000) == significance(
             baseline, system, seed=5, resamples=1000
         )
+
+    def test_reports_share_one_histogram_per_m(self):
+        system = [True, False, True, True, False, True, True]
+        baseline = [False, True, True, False, False, True, False]  # m = 4
+        shifted = [False] + system, [False] + baseline  # another pair, the same m
+        before = _swap_histogram.cache_info()
+        p = significance(system, baseline, resamples=977, seed=31)
+        assert significance(*shifted, resamples=977, seed=31) == p
+        after = _swap_histogram.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
     def test_errors(self):
         with pytest.raises(EmptyInput):

@@ -2,11 +2,13 @@
 test against the reference implementations they replaced."""
 
 import random
+from unittest.mock import patch
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_metrics
+from tagcopy import metrics
 from tagcopy.metrics import bleu, pos_accuracy, significance
 from tagcopy.template import PLAIN_VOCAB, BundleRecord, ManifestEntry, TemplateMethod
 
@@ -66,6 +68,16 @@ def test_significance_equals_reference(flags, resamples, seed):
     got = _outcome(significance, system, baseline, resamples=resamples, seed=seed)
     assert got == _outcome(reference_metrics.significance, system, baseline,
                            resamples=resamples, seed=seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(paired_flags(), st.integers(1, 400), st.integers(0, 2**32))
+def test_significance_cached_equals_uncached(flags, resamples, seed):
+    system, baseline = flags
+    with patch.object(metrics, "_swap_histogram", metrics._swap_histogram.__wrapped__):
+        want = _outcome(significance, system, baseline, resamples=resamples, seed=seed)
+    for _ in range(2):  # the second call reads the cache
+        assert _outcome(significance, system, baseline, resamples=resamples, seed=seed) == want
 
 
 def scoring_corpus(lines=2000, seed=7):

@@ -1,16 +1,18 @@
 """Parity of the corpus normalizer and the Pharaoh reader against the
 per-character and per-link implementations in tests/reference_readers.py,
-and a smoke run of both readers at benchmark size."""
+of the readers that build a row when it is read against the whole-file
+readers, and a smoke run of both readers at benchmark size."""
 
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_readers
-from tagcopy.align import read_pharaoh, write_pharaoh
-from tagcopy.corpus import NormProfile, read_parallel, tokenize_normalize
+from tagcopy.align import read_pharaoh, read_pharaoh_lines, write_pharaoh
+from tagcopy.cli import read_token_lines
+from tagcopy.corpus import NormProfile, read_lines, read_parallel, tokenize_normalize
 from tagcopy.errors import MalformedFile
 
 PROFILES = [NormProfile(lowercase, strip) for lowercase in (True, False)
@@ -65,6 +67,26 @@ def scratch(tmp_path_factory):
 def test_read_pharaoh_matches_reference(scratch, text):
     scratch.write_bytes(text.encode("utf-8"))
     assert _outcome(read_pharaoh, scratch) == _outcome(reference_readers.read_pharaoh, scratch)
+
+
+# CRLF and lone CR ends, U+2028 and U+0085 inside a line, blank lines, and
+# (by where the text stops) a last line with or without its newline
+LINE_PIECES = ["0-0", "1-2", "10-3", "1--2", "a", "b c", " ", "\t", "\n", "\r\n", "\r",
+               "\n\n", "\u2028", "\x85"]
+line_text = st.lists(st.sampled_from(LINE_PIECES) | st.text(PHARAOH_CHARS, max_size=4),
+                     max_size=25).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=line_text)
+@example(text="0-0 1-2\r\n\n1-2\u20280-0\n10-3")
+def test_rows_read_on_access_match_the_whole_file_readers(scratch, text):
+    scratch.write_bytes(text.encode("utf-8"))
+    rows = read_token_lines(scratch)
+    assert list(rows) == [line.split() for line in read_lines(scratch)]
+    assert [rows[k] for k in range(len(rows))] == list(rows)
+    assert _outcome(lambda p: list(read_pharaoh_lines(p)), scratch) == _outcome(read_pharaoh,
+                                                                                 scratch)
 
 
 def test_readers_smoke(benchmark, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import random
 from copy import deepcopy
 from dataclasses import replace
@@ -481,3 +482,20 @@ class TestManifest:
             assert entry.method is M.TRANSA
             assert entry.vocab == SPECIAL_VOCAB
             assert entry.bundles == bundles
+
+    def test_equal_vocabularies_and_tokens_are_read_once(self, tmp_path):
+        # tokens longer than one character: the decoder shares no such str
+        bundle = {"src_span": [0, 1], "tgt_span": [0, 1], "entity": ["ent"],
+                  "translation": ["trans"], "hypernym": ["hyp"], "hypernym_tgt": ["trans"],
+                  "uri": "http://x/ent"}
+        records = [{"line_no": n, "method": "tag", "tag_vocab": vars(vocab), "bundles": [bundle]}
+                   for n, vocab in enumerate((PLAIN_VOCAB, SPECIAL_VOCAB, PLAIN_VOCAB))]
+        path = tmp_path / "m.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        first, second, third = read_manifest(path)
+        assert first.vocab is third.vocab and first.vocab == PLAIN_VOCAB
+        assert second.vocab == SPECIAL_VOCAB
+        a, b = first.bundles[0], third.bundles[0]
+        assert a == b and a.entity is not b.entity  # each record keeps its own lists
+        assert a.entity[0] is b.entity[0] and a.uri is b.uri
+        assert a.translation[0] is a.hypernym_tgt[0]
