@@ -568,37 +568,15 @@ def _link(part: str, path, line: int) -> tuple[int, int]:
         raise MalformedFile(f"{path}:{line}: bad link {part!r}, expected i-j") from None
 
 
-def read_pharaoh(path) -> list[set[tuple[int, int]]]:
+def read_pharaoh(path) -> LineRows:
     """One set of (i, j) links per line of ``i-j`` tokens, each index bare
-    digits; a malformed file raises MalformedFile naming path:line."""
-    sets = []
-    # token -> (i, j): a file repeats a few hundred distinct links, so each
-    # is checked and converted once and the lines are mapped at C speed
-    known: dict[str, tuple[int, int]] = {}
-    # newline="\n": a line ends only at a newline, as in corpus.read_lines;
-    # a lone "\r" separates links like a space
-    with open(path, encoding="utf-8", newline="\n") as f:
-        try:
-            for line in f:
-                parts = line.split()
-                try:
-                    links = set(map(known.__getitem__, parts))
-                except KeyError:
-                    for part in parts:
-                        if part not in known:
-                            known[part] = _link(part, path, len(sets) + 1)
-                    links = set(map(known.__getitem__, parts))
-                sets.append(links)
-        except UnicodeDecodeError as exc:
-            raise MalformedFile(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return sets
-
-
-def read_pharaoh_lines(path) -> LineRows:
-    """The link sets :func:`read_pharaoh` reads, as rows built when they are
-    read (see :class:`~tagcopy.corpus.LineRows`): only the file's lines are
-    held. Every line is checked here, with read_pharaoh's rule."""
+    digits, as rows built when they are read (see
+    :class:`~tagcopy.corpus.LineRows`): only the file's lines are held.
+    Every line is checked here; a malformed file raises MalformedFile
+    naming path:line."""
     lines = read_lines(path)
+    # token -> (i, j): a file repeats a few hundred distinct links, so each
+    # is checked and converted once and every set shares its tuples
     known: dict[str, tuple[int, int]] = {}
     for n, line in enumerate(lines, 1):
         for part in line.split():

@@ -360,10 +360,12 @@ def cmd_tag_apply(args) -> int:
 
 def cmd_detag(args) -> int:
     method = parse_method(args.method)
-    if template.METHODS[method].reads_table and not args.table:
+    reads_table = template.METHODS[method].reads_table
+    if reads_table and not args.table:
         raise ConfigError(f"missing required option --table (needed by method {method.value!r})")
     vocab = parse_vocab(args.vocab)
-    table = lexicon.load_table(args.table) if args.table else lexicon.TranslationTable({})
+    # a method whose rule reads no table ignores a --table it is given
+    table = lexicon.load_table(args.table) if reads_table else lexicon.TranslationTable({})
     # read whole before --out is opened, so an input that is not UTF-8
     # leaves no output; each line is then written as it is detagged
     rows = read_token_lines(args.infile)
@@ -439,7 +441,7 @@ def cmd_eval_pos(args) -> int:
     # a row is split, or a link set built, when pos_accuracy reads it
     src_lengths = [len(line.split()) for line in read_lines(args.src)]
     manifest = _scored_manifest(args.manifest)
-    alignments = align.read_pharaoh_lines(args.alignments)
+    alignments = align.read_pharaoh(args.alignments)
     system_outputs = read_token_lines(args.system)
     baseline_outputs = read_token_lines(args.baseline)
     references = read_token_lines(args.ref)

@@ -1,6 +1,7 @@
 """Word translation table built from symmetrized alignment links."""
 
 from collections import Counter, defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .align import check_links
@@ -25,7 +26,7 @@ class TranslationTable:
 
 def build_translation_table(
     corpus: ParallelCorpus,
-    alignments: list[set[tuple[int, int]]],
+    alignments: Sequence[set[tuple[int, int]]],
     min_count: int = 1,
 ) -> TranslationTable:
     """Count linked word pairs and keep the best target per source word.
@@ -34,6 +35,8 @@ def build_translation_table(
     corpus frequency, then to the lexicographically smaller one. Candidates
     linked fewer than ``min_count`` times are ignored; the stored
     probability is the winning count over all links of that source word.
+    Each row of ``alignments`` is read once, so rows built when they are
+    read (:func:`~tagcopy.align.read_pharaoh`) are built once.
     """
     if len(alignments) != len(corpus.pairs):
         raise LengthMismatch(

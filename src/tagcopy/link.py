@@ -144,6 +144,8 @@ def mentions_from_response(payload: dict, sentence: TokenSeq) -> list[EntityMent
             uri = res["@URI"]
             surface = res["@surfaceForm"]
             offset = int(res["@offset"])
+            if not isinstance(uri, str) or not isinstance(surface, str):
+                raise TypeError("@URI and @surfaceForm must be strings")
         except (TypeError, KeyError, ValueError) as exc:
             raise MalformedResponse(f"bad resource record: {res!r}") from exc
         end_char = offset + len(surface)

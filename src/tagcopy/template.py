@@ -30,6 +30,7 @@ module scores against.
 import functools
 import json
 import operator
+from collections.abc import Sequence
 from contextlib import ExitStack
 from dataclasses import dataclass
 from enum import Enum
@@ -192,7 +193,7 @@ def render_target_template(
 def select_bundles(
     corpus: ParallelCorpus,
     annotations: list[list[EntityMention]],
-    alignments: list[set[tuple[int, int]]],
+    alignments: Sequence[set[tuple[int, int]]],
     table: TranslationTable,
 ) -> list[list[BundleRecord]]:
     """The bundles to tag, one list per pair, in source order.
@@ -208,6 +209,8 @@ def select_bundles(
     the sentence, a surface that is not the tokens under the span, or two
     overlapping mentions raise MalformedFile naming the pair's line_no.
     A link outside its pair raises LengthMismatch naming its alignment row.
+    Each row of ``alignments`` is read once, so rows built when they are
+    read (:func:`~tagcopy.align.read_pharaoh`) are built once.
     """
     for name, rows in (("annotation", annotations), ("alignment", alignments)):
         if len(rows) != len(corpus.pairs):

@@ -209,6 +209,7 @@ class TestAlignChain:
                        "--rev", str(tmp_path / "r"), "--out", str(tmp_path / "s")])
         assert rc == 2
         assert f"{tmp_path / 'f'}:2: bad link '0-x'" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()  # every line is checked before any is written
 
 
 class TestMalformedFiles:
@@ -427,6 +428,17 @@ class TestTagApply:
         assert detagged.read_bytes() == (toy_dir / "tgt.zz").read_bytes()
         assert cli.main([*argv, "tag"]) == 2
         assert "--table" in capsys.readouterr().err
+
+    def test_detag_reads_no_table_its_method_ignores(self, tmp_path, toy_dir, prepared):
+        # a table only tag and add read: trans is not stopped by a malformed one
+        _, _, out_tgt, _ = self._tag(tmp_path, toy_dir, prepared, "trans")
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(TestMalformedFiles.BAD["table"][0], encoding="utf-8")
+        without, given = tmp_path / "without.tgt", tmp_path / "given.tgt"
+        argv = ["detag", "--in", str(out_tgt), "--method", "trans", "--out"]
+        assert cli.main([*argv, str(without)]) == 0
+        assert cli.main([*argv, str(given), "--table", str(bad)]) == 0
+        assert given.read_bytes() == without.read_bytes()
 
     def test_tag_fraction_printed(self, tmp_path, toy_dir, prepared, capsys):
         rc, *_ = self._tag(tmp_path, toy_dir, prepared, "tag")

@@ -183,6 +183,11 @@ class TestResponseParsing:
             mentions_from_response({"Resources": [{"@URI": "u"}]}, ["a"])
         with pytest.raises(MalformedResponse):
             mentions_from_response({"Resources": "nope"}, ["a"])
+        # a numeric surface form, and a uri that read_annotations would refuse
+        for res in ({"@URI": "u", "@surfaceForm": 7, "@offset": "0"},
+                    {"@URI": ["u"], "@surfaceForm": "a", "@offset": "0"}):
+            with pytest.raises(MalformedResponse):
+                mentions_from_response({"Resources": [res]}, ["a"])
 
 
 class FakeTransport:

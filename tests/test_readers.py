@@ -41,7 +41,7 @@ from tagcopy.template import (
 
 READERS = {
     "lines": read_lines,
-    "pharaoh": read_pharaoh,
+    "pharaoh": lambda p: list(read_pharaoh(p)),
     "model": load_model,
     "table": load_table,
     "annotations": read_annotations,
@@ -110,6 +110,7 @@ MENTION = '"start": 0, "end": 1, "surface": ["a"], "uri": "u"'
     ("model", "tension\t4.0\np0\t0.08\na\tb\t0.5\nc\td\tnan\n", ":4: neither"),
     ("model", "tension\t4.0\np0\t0.08\na\tb\tinf\nc\td\t0.5\n", ":3: neither"),
     ("model", "tension\t4.0\na\tb\t-0.5\np0\t0.08\n", ":2: neither"),
+    ("pharaoh", "0-0 1-1\r\n\r\n2-2 3-x\r\n", ":3: bad link '3-x'"),
     ("gazetteer", "new york\tkb:NY\tcity\nx\tkb:X\n", ":2: 2 tab-separated fields"),
     ("gazetteer", "new york\tkb:NY\tcity\n \tkb:X\tcity\n", ":2: ValueError: empty surface"),
     ("hypernyms", "kb:A\tcity\nkb:B\tcity\tx\n", ":2: 3 tab-separated fields, expected 2"),
@@ -328,7 +329,7 @@ def test_model_round_trips_bit_identical(scratch, theta, direction, tension, p0)
                 max_size=8))
 def test_pharaoh_round_trips(scratch, link_sets):
     write_pharaoh(link_sets, scratch)
-    assert read_pharaoh(scratch) == link_sets
+    assert list(read_pharaoh(scratch)) == link_sets
 
 
 @settings(max_examples=150, deadline=None)

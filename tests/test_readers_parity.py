@@ -1,7 +1,7 @@
 """Parity of the corpus normalizer and the Pharaoh reader against the
 per-character and per-link implementations in tests/reference_readers.py,
-of the readers that build a row when it is read against the whole-file
-readers, and a smoke run of both readers at benchmark size."""
+of the token rows built when they are read against the whole-file line
+reader, and a smoke run of both readers at benchmark size."""
 
 import random
 
@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_readers
-from tagcopy.align import read_pharaoh, read_pharaoh_lines, write_pharaoh
+from tagcopy.align import read_pharaoh, write_pharaoh
 from tagcopy.cli import read_token_lines
 from tagcopy.corpus import NormProfile, read_lines, read_parallel, tokenize_normalize
 from tagcopy.errors import MalformedFile
@@ -39,9 +39,9 @@ def test_tokenize_normalize_matches_reference(line, profile):
 
 
 def _outcome(reader, path):
-    """The link sets, or the message of the MalformedFile raised."""
+    """The list of link sets, or the message of the MalformedFile raised."""
     try:
-        return reader(path)
+        return list(reader(path))
     except MalformedFile as exc:
         return str(exc)
 
@@ -85,8 +85,6 @@ def test_rows_read_on_access_match_the_whole_file_readers(scratch, text):
     rows = read_token_lines(scratch)
     assert list(rows) == [line.split() for line in read_lines(scratch)]
     assert [rows[k] for k in range(len(rows))] == list(rows)
-    assert _outcome(lambda p: list(read_pharaoh_lines(p)), scratch) == _outcome(read_pharaoh,
-                                                                                 scratch)
 
 
 def test_readers_smoke(benchmark, tmp_path):
@@ -111,4 +109,4 @@ def test_readers_smoke(benchmark, tmp_path):
 
     corpus, links = benchmark.pedantic(run, rounds=1, iterations=1)
     assert (len(corpus), corpus.dropped_count) == (2000, 0)
-    assert links == link_sets
+    assert list(links) == link_sets
