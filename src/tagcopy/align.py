@@ -68,10 +68,8 @@ REVERSE = "tgt-src"
 
 HEURISTICS = ("intersection", "union", "grow-diag-final-and")
 
-# streaming a model dump: entries formatted per write, and bytes of lines
-# parsed per read
+# entries of a model dump formatted per write
 _SAVE_ENTRIES = 1 << 12
-_LOAD_BYTES = 1 << 17
 
 # prune_model keeps an entry at or above this fraction of its row's maximum
 PRUNE_RATIO = 1e-6
@@ -615,31 +613,6 @@ def _sorted_ranks(first_seen: dict[str, int]):
     return vocab, rank
 
 
-def _model_fault(path) -> MalformedFile:
-    """Rescan a dump load_model rejected for the first line at fault, or
-    the header it lacks."""
-    header = {}
-    n = 0
-    with open(path, encoding="utf-8") as f:
-        for n, line in enumerate(f, 1):
-            fields = line.rstrip("\n").split("\t")
-            try:
-                if len(fields) == 3:
-                    if not 0.0 <= float(fields[2]) < math.inf:
-                        raise ValueError
-                elif len(fields) == 2:
-                    header[fields[0]] = _MODEL_HEADER[fields[0]](fields[1])
-                elif line.strip():
-                    raise ValueError
-            except (ValueError, KeyError, InvalidParams):
-                return MalformedFile(
-                    f"{path}:{n}: neither an e<TAB>f<TAB>prob row with a finite prob >= 0 nor "
-                    f"a valid direction, tension or p0 header: {line!r}"
-                )
-    missing = next(k for k in ("tension", "p0") if k not in header)
-    return MalformedFile(f"{path}:{n + 1}: end of file before a {missing!r} header line")
-
-
 def load_model(path) -> AlignModel:
     """Read a model dump. Rows may come in any order; a repeated (e, f)
     keeps its last value. A malformed dump, or one whose tension, p0 or
@@ -650,35 +623,36 @@ def load_model(path) -> AlignModel:
     cond_seen: dict[str, int] = defaultdict(count().__next__)
     emit_seen: dict[str, int] = defaultdict(count().__next__)
     rows, cols, values = array("i"), array("i"), array("d")
-    with open(path, encoding="utf-8") as f:
+    n = 0
+    # a line ends at a newline only, as in read_records
+    with open(path, encoding="utf-8", newline="\n") as dump:
         try:
-            while lines := f.readlines(_LOAD_BYTES):
-                entries = []
-                for line in lines:
-                    tabs = line.count("\t")
-                    if tabs == 2:
-                        entries.append(line)
-                    elif tabs == 1:
-                        key, value = line.rstrip("\n").split("\t")
-                        header[key] = _MODEL_HEADER[key](value)
-                    elif line.strip():
+            for n, line in enumerate(dump, 1):
+                fields = line.removesuffix("\n").removesuffix("\r").split("\t")
+                if len(fields) == 3:
+                    e, f, p = fields
+                    p = float(p)
+                    if not 0.0 <= p < math.inf:
                         raise ValueError
-                # the entries' fields in one flat list: e, f, p, e, f, p, ...
-                fields = "".join(entries).replace("\n", "\t").split("\t")[:3 * len(entries)]
-                rows.extend(map(cond_seen.__getitem__, fields[0::3]))
-                cols.extend(map(emit_seen.__getitem__, fields[1::3]))
-                values.extend(map(float, fields[2::3]))
-            tension, p0 = header["tension"], header["p0"]
+                    rows.append(cond_seen[e])
+                    cols.append(emit_seen[f])
+                    values.append(p)
+                elif len(fields) == 2:
+                    header[fields[0]] = _MODEL_HEADER[fields[0]](fields[1])
+                elif line.strip():
+                    raise ValueError
         except UnicodeDecodeError as exc:
             raise MalformedFile(f"{path}: not UTF-8 text ({exc.reason})") from None
         except (ValueError, KeyError, InvalidParams):
-            raise _model_fault(path) from None
+            raise MalformedFile(
+                f"{path}:{n}: neither an e<TAB>f<TAB>prob row with a finite prob >= 0 nor "
+                f"a valid direction, tension or p0 header: {line!r}"
+            ) from None
+    if missing := [k for k in ("tension", "p0") if k not in header]:
+        raise MalformedFile(f"{path}:{n + 1}: end of file before a {missing[0]!r} header line")
     import numpy as np
 
     probs = np.frombuffer(values, dtype=np.float64)
-    if not ((probs >= 0.0) & (probs < np.inf)).all():  # the row rule of _model_fault
-        raise _model_fault(path)
-
     cond, cond_rank = _sorted_ranks(cond_seen)
     emit, emit_rank = _sorted_ranks(emit_seen)
     keys = cond_rank[np.frombuffer(rows, dtype=np.intc)]
@@ -691,4 +665,5 @@ def load_model(path) -> AlignModel:
         last = np.ones(len(keys), dtype=bool)
         last[:-1] = keys[1:] != keys[:-1]
         keys, probs = keys[last], probs[last]
-    return AlignModel(Theta(cond, emit, keys, probs), tension, p0, header["direction"])
+    return AlignModel(Theta(cond, emit, keys, probs), header["tension"], header["p0"],
+                      header["direction"])

@@ -143,9 +143,12 @@ def mentions_from_response(payload: dict, sentence: TokenSeq) -> list[EntityMent
         try:
             uri = res["@URI"]
             surface = res["@surfaceForm"]
-            offset = int(res["@offset"])
-            if not isinstance(uri, str) or not isinstance(surface, str):
-                raise TypeError("@URI and @surfaceForm must be strings")
+            offset = res["@offset"]
+            # @offset is bare decimal digits, as align._link reads an index
+            if not (isinstance(uri, str) and isinstance(surface, str)
+                    and isinstance(offset, str) and offset.isdecimal()):
+                raise TypeError("@URI and @surfaceForm must be strings, @offset digits")
+            offset = int(offset)
         except (TypeError, KeyError, ValueError) as exc:
             raise MalformedResponse(f"bad resource record: {res!r}") from exc
         end_char = offset + len(surface)
@@ -321,13 +324,15 @@ class RemoteHypernyms:
         except ValueError as exc:
             raise MalformedResponse(f"invalid JSON from knowledge base: {exc}") from exc
         facts = data.get(uri, {}) if isinstance(data, dict) else {}
-        gold = facts.get(GOLD_HYPERNYM)
-        if gold:
-            label = _label_from_uri(str(gold[0].get("value", "")))
-            return label or None
+        try:
+            gold = facts.get(GOLD_HYPERNYM)
+            if gold:
+                return _label_from_uri(str(gold[0].get("value", ""))) or None
+            values = [str(fact.get("value", "")) for fact in facts.get(RDF_TYPE, [])]
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise MalformedResponse(f"facts of {uri} are not lists of objects: {exc}") from exc
         labels = []
-        for fact in facts.get(RDF_TYPE, []):
-            value = str(fact.get("value", ""))
+        for value in values:
             if value.startswith(ONTOLOGY_PREFIX):
                 label = _label_from_uri(value)
                 if label and label not in _GENERIC_LABELS:

@@ -404,12 +404,22 @@ class TestPersistence:
         ("p0\t0.08\na\tb\t0.5\n", "m.tsv:3: end of file before a 'tension' header"),
         ("tension\t4.0\na\tb\t0.5\n\n", "m.tsv:4: end of file before a 'p0' header"),
         ("", "m.tsv:1: end of file before a 'tension' header"),
+        # a lone "\r" ends no line: it stays inside its field
+        ("direction\tsrc-tgt\ntension\t4.0\np0\t0.08\na\tx\t0.5\rb\ty\t0.5\n", "m.tsv:4: neither"),
+        ("tension\t4.0\rp0\t0.08\na\tb\t0.5\n", "m.tsv:3: end of file before a 'tension' header"),
     ])
     def test_malformed_model_names_path_and_line(self, tmp_path, dump, where):
         path = tmp_path / "m.tsv"
         path.write_text(dump, encoding="utf-8")
         with pytest.raises(MalformedFile, match=where):
             load_model(path)
+
+    def test_crlf_model_loads_as_its_lf_twin(self, tmp_path):
+        model = train_alignment(make_corpus(SPEC_PAIRS), iterations=2, tension=4.0, p0=0.08)
+        save_model(model, tmp_path / "lf.tsv")
+        crlf = (tmp_path / "lf.tsv").read_bytes().replace(b"\n", b"\r\n")
+        (tmp_path / "crlf.tsv").write_bytes(crlf)
+        assert load_model(tmp_path / "crlf.tsv") == load_model(tmp_path / "lf.tsv")
 
     def test_model_blank_lines_and_missing_direction_are_fine(self, tmp_path):
         path = tmp_path / "m.tsv"

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tagcopy import align, cli, lexicon, link, metrics, template
 from tagcopy.config import (
@@ -274,6 +276,100 @@ class TestMalformedFiles:
         assert f"{bad}: not UTF-8 text" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()  # the input is read before any output is opened
+
+
+# The offline subcommands on inputs of the toy run: "@name" is an input
+# file, ">name" an output file. Linking stays offline: gazetteer mode, and
+# hypernyms from the TSV.
+FUZZ_ARGV = {
+    "align-apply": "--model @model --src @src --tgt @tgt --out >out.align",
+    "symmetrize": "--fwd @fwd --rev @rev --out >out.align",
+    "lexicon-build": "--src @src --tgt @tgt --alignments @sym --out >table.tsv",
+    "link-annotate": "--src @src --mode gazetteer --gazetteer @gazetteer --out >ann.jsonl",
+    "link-hypernyms": "--annotations @annotations --hypernyms @hypernyms --out >ann.jsonl",
+    "tag-apply": "--src @src --tgt @tgt --annotations @annotations --alignments @sym "
+                 "--table @table --method tag --out-src >t.src --out-tgt >t.tgt "
+                 "--manifest >t.jsonl",
+    "detag": "--in @tagged --method tag --table @table --out >detagged",
+    "eval-bleu": "--hyp @tagged --ref @tgt --subset tag-only --manifest @manifest",
+    "eval-copy": "--outputs @tagged --manifest @manifest",
+    "eval-pos": "--system @tgt --baseline @tgt --manifest @manifest --pos @pos "
+                "--alignments @gold --ref @tgt --src @src --resamples 20",
+}
+# (subcommand, argument index) of every input, 31 in all; ("align-apply", 1)
+# is the model dump
+FUZZ_INPUTS = [(command, k) for command, argv in FUZZ_ARGV.items()
+               for k, arg in enumerate(argv.split()) if arg.startswith("@")]
+# bytes a mutation inserts or writes over: a tab, a CR, a NEL, digits,
+# braces, a byte no UTF-8 text holds, and a tag token
+FUZZ_BYTES = [b"\t", b"\r", "\u0085".encode(), b"0", b"7", b"12", b"{", b"}", b"\xff",
+              template.SPECIAL_VOCAB.start.encode()]
+
+
+@st.composite
+def mutation(draw, data: bytes) -> bytes:
+    """``data`` with one line deleted, duplicated or swapped, cut short, or
+    with bytes inserted, written over or deleted."""
+    kind = draw(st.sampled_from(["delete-line", "duplicate-line", "swap-lines", "truncate",
+                                 "insert", "replace", "delete"]))
+    if "line" in kind:
+        lines = data.split(b"\n")
+        k, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+        if kind == "delete-line":
+            del lines[k]
+        elif kind == "duplicate-line":
+            lines.insert(k, lines[k])
+        else:
+            lines[k], lines[j] = lines[j], lines[k]
+        return b"\n".join(lines)
+    at = draw(st.integers(0, len(data)))
+    if kind == "truncate":
+        return data[:at]
+    if kind == "delete":
+        return data[:at] + data[at + draw(st.integers(1, 8)):]
+    piece = draw(st.sampled_from(FUZZ_BYTES))
+    return data[:at] + piece + data[at + (len(piece) if kind == "replace" else 0):]
+
+
+class TestMutatedInput:
+    @pytest.fixture(scope="class")
+    def toy_run(self, tmp_path_factory, toy_dir):
+        """Every input of FUZZ_ARGV, from the toy fixture and its run."""
+        root = tmp_path_factory.mktemp("toy_run")
+        config = write_config(root / "config.yaml", toy_dir, root / "run",
+                              tagging={"methods": ["tag"], "vocab": "special"})
+        assert cli.main(["pipeline-run", "--config", str(config)]) == 0
+        run = root / "run"
+        return {
+            "src": toy_dir / "src.en", "tgt": toy_dir / "tgt.zz", "gold": toy_dir / "gold.align",
+            "pos": toy_dir / "pos.en", "gazetteer": toy_dir / "gazetteer.tsv",
+            "hypernyms": toy_dir / "hypernyms.tsv", "model": run / "align/model.fwd.tsv",
+            "fwd": run / "align/fwd.align", "rev": run / "align/rev.align",
+            "sym": run / "align/sym.align", "table": run / "lexicon/table.tsv",
+            "annotations": run / "link/annotations.jsonl", "tagged": run / "tagged/tag.tgt",
+            "manifest": run / "tagged/tag.manifest.jsonl",
+        }
+
+    @pytest.mark.parametrize("command, slot", FUZZ_INPUTS)
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_input_exits_0_or_2(self, tmp_path_factory, toy_run, command, slot, data):
+        # one input mutated per run: the subcommand exits 0 or 2, and no
+        # exception escapes cli.main
+        work = tmp_path_factory.mktemp("fuzz")
+        argv = [command]
+        for k, arg in enumerate(FUZZ_ARGV[command].split()):
+            if arg.startswith("@"):
+                arg = toy_run[arg[1:]]
+                if k == slot:
+                    mutated = data.draw(mutation(arg.read_bytes()), label="mutated")
+                    arg = work / "mutated"
+                    arg.write_bytes(mutated)
+            elif arg.startswith(">"):
+                arg = work / arg[1:]
+            argv.append(str(arg))
+        assert cli.main(argv) in (0, 2)
 
 
 class TestLinkCommands:

@@ -188,6 +188,15 @@ class TestResponseParsing:
                     {"@URI": ["u"], "@surfaceForm": "a", "@offset": "0"}):
             with pytest.raises(MalformedResponse):
                 mentions_from_response({"Resources": [res]}, ["a"])
+        # an offset that int() reads but that is not bare decimal digits:
+        # each would otherwise be a mention of "b"
+        for offset in (2.9, " 2 ", "+2", "2_0", True):
+            res = {"@URI": "u", "@surfaceForm": "b", "@offset": offset}
+            with pytest.raises(MalformedResponse):
+                mentions_from_response({"Resources": [res]}, ["a", "b"])
+        assert mentions_from_response(
+            {"Resources": [{"@URI": "u", "@surfaceForm": "b", "@offset": "2"}]}, ["a", "b"]
+        )[0].surface == ["b"]
 
 
 class FakeTransport:
@@ -370,6 +379,22 @@ class TestHypernyms:
         }
         resolver = RemoteHypernyms(transport=FakeTransport([_ok(body)]))
         assert resolve_hypernym(uri, resolver) == ["populated", "place"]
+
+    @pytest.mark.parametrize("facts", [
+        ["not", "an", "object"],
+        {"http://purl.org/linguistics/gold/hypernym": "http://dbpedia.org/resource/State"},
+        {"http://purl.org/linguistics/gold/hypernym": ["http://dbpedia.org/resource/State"]},
+        {"http://purl.org/linguistics/gold/hypernym": {"value": "State"}},
+        {"http://www.w3.org/1999/02/22-rdf-syntax-ns#type": "http://dbpedia.org/ontology/Place"},
+        {"http://www.w3.org/1999/02/22-rdf-syntax-ns#type": ["http://dbpedia.org/ontology/P"]},
+        {"http://www.w3.org/1999/02/22-rdf-syntax-ns#type": {"value": "Place"}},
+    ], ids=["uri-list", "gold-str", "gold-strs", "gold-object", "type-str", "type-strs",
+            "type-object"])
+    def test_remote_facts_of_the_wrong_shape(self, facts):
+        uri = "http://dbpedia.org/resource/X"
+        resolver = RemoteHypernyms(transport=FakeTransport([_ok({uri: facts})]))
+        with pytest.raises(MalformedResponse, match="not lists of objects"):
+            resolver.lookup(uri)
 
     def test_remote_http_error(self):
         resolver = RemoteHypernyms(transport=FakeTransport([(500, "boom")]))

@@ -201,6 +201,37 @@ def test_wrong_value_type_is_malformed(scratch, data, field):
         READERS[reader](scratch)
 
 
+# whole well-formed lines of the tab-separated formats, so that a run of
+# text often reads to its end
+LINES = ["direction\tsrc-tgt\n", "tension\t4.0\n", "p0\t0.08\n", "a\tb\t0.5\n",
+         "a\tb\t1\t0.5\n", "kb:A\tcity\n", "new york\tkb:NY\tcity\n", "0-0 1-1\n"]
+lf_text = st.tuples(
+    st.sampled_from(["", "tension\t4.0\np0\t0.08\n"]),  # a model dump's header
+    st.lists(st.sampled_from([p for p in PIECES + LINES if p != "\r"])
+             | st.text(max_size=3).filter(lambda t: "\r" not in t), max_size=30),
+).map(lambda parts: parts[0] + "".join(parts[1]))
+
+
+def _outcome(reader, path):
+    """What ``reader`` makes of ``path``: its result, or the path:line of
+    the MalformedFile it raises."""
+    try:
+        result = reader(path)
+    except MalformedFile as exc:
+        return str(exc).split(": ", 1)[0]
+    return vars(result) if isinstance(result, (Gazetteer, OfflineHypernyms)) else result
+
+
+@pytest.mark.parametrize("reader", READERS.values(), ids=READERS.keys())
+@settings(max_examples=150, deadline=None)
+@given(text=lf_text)
+def test_crlf_reads_as_its_lf_twin(scratch, reader, text):
+    scratch.write_bytes(text.encode())
+    lf = _outcome(reader, scratch)
+    scratch.write_bytes(text.replace("\n", "\r\n").encode())
+    assert _outcome(reader, scratch) == lf
+
+
 @pytest.mark.parametrize("reader", READERS.values(), ids=READERS.keys())
 def test_not_utf8_names_path(tmp_path, reader):
     path = tmp_path / "input"
