@@ -85,11 +85,19 @@ def _prior_param(name: str, value: float) -> float:
     return value
 
 
+def _dump_float(text: str) -> float:
+    """``float(text)`` if ``text`` is written as ``repr`` writes a finite
+    float >= 0: ASCII, a digit first and last, no ``_``; else ValueError."""
+    if not (text.isascii() and text[:1].isdigit() and text[-1:].isdigit()) or "_" in text:
+        raise ValueError(text)
+    return float(text)
+
+
 # a model dump's header lines: key -> parser of the value (a direction
 # other than the two raises KeyError)
 _MODEL_HEADER = {"direction": {FORWARD: FORWARD, REVERSE: REVERSE}.__getitem__,
-                 "tension": lambda value: _prior_param("tension", float(value)),
-                 "p0": lambda value: _prior_param("p0", float(value))}
+                 "tension": lambda value: _prior_param("tension", _dump_float(value)),
+                 "p0": lambda value: _prior_param("p0", _dump_float(value))}
 
 
 def _ids(vocab: list[str]) -> dict[str, int]:
@@ -631,8 +639,8 @@ def load_model(path) -> AlignModel:
                 fields = line.removesuffix("\n").removesuffix("\r").split("\t")
                 if len(fields) == 3:
                     e, f, p = fields
-                    p = float(p)
-                    if not 0.0 <= p < math.inf:
+                    p = _dump_float(p)
+                    if not p < math.inf:  # too large: float() reads 1e999 as inf
                         raise ValueError
                     rows.append(cond_seen[e])
                     cols.append(emit_seen[f])

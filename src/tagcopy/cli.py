@@ -115,23 +115,17 @@ def _log_perplexity(history) -> None:
         log.info("iteration %d: perplexity %.4f", k, perp)
 
 
-def _decode_and_write(model: align.AlignModel, corpus, path) -> list[set[tuple[int, int]]]:
-    links = align.align_corpus(model, corpus)
-    align.write_pharaoh(links, path)
-    return links
+def _decode_and_write(model: align.AlignModel, corpus, path) -> None:
+    align.write_pharaoh(align.align_corpus(model, corpus), path)
 
 
-def _align_direction(corpus, params: AlignerParams, direction: str, model_path, align_path):
-    """Train, prune, save, decode and write one direction; returns its link
-    sets and perplexity history."""
+def _align_direction(corpus, params: AlignerParams, direction: str, model_path,
+                     align_path) -> list[float]:
+    """Train, prune, save, decode and write one direction; returns only its
+    perplexity history, so a forked job sends back no links."""
     model = _train_and_save(corpus, params, direction, model_path)
-    return _decode_and_write(model, corpus, align_path), model.perplexity_history
-
-
-def _align_reverse(corpus, params: AlignerParams, model_path, align_path) -> list[float]:
-    """The reverse direction as a forked job: it sends back only its
-    perplexity history, and the parent reads the links from ``align_path``."""
-    return _align_direction(corpus, params, align.REVERSE, model_path, align_path)[1]
+    _decode_and_write(model, corpus, align_path)
+    return model.perplexity_history
 
 
 class ChildDied(OSError):
@@ -187,10 +181,14 @@ def _child(send, job, args) -> None:
         send.send((False, exc))
 
 
-def _symmetrize_and_write(fwd, rev, heuristic: str, path) -> list[set[tuple[int, int]]]:
-    merged = [align.symmetrize_links(f, r, heuristic) for f, r in zip(fwd, rev)]
-    align.write_pharaoh(merged, path)
-    return merged
+def _symmetrize_and_write(fwd_path, rev_path, heuristic: str, path) -> None:
+    """Merge the link files at ``fwd_path`` and ``rev_path`` row by row into
+    ``path``; each merged set is written as it is made."""
+    fwd = align.read_pharaoh(fwd_path)
+    rev = align.read_pharaoh(rev_path)
+    if len(fwd) != len(rev):
+        raise LengthMismatch(f"{fwd_path} has {len(fwd)} rows but {rev_path} has {len(rev)}")
+    align.write_pharaoh((align.symmetrize_links(f, r, heuristic) for f, r in zip(fwd, rev)), path)
 
 
 def _build_and_save_table(corpus, alignments, min_count: int, path) -> lexicon.TranslationTable:
@@ -217,14 +215,6 @@ def _read_sources(src_path, profile) -> dict:
         if tokens := tokenize_normalize(raw, profile):
             sentences[i] = tokens
     return sentences
-
-
-def _corpus_sources(corpus) -> dict:
-    """What :func:`_read_sources` reads from the corpus's source file, made
-    from the lines ``read_parallel`` normalized: the kept pairs' sources and
-    the dropped pairs' that are not empty, in line order."""
-    sentences = {pair.line_no: pair.src for pair in corpus.pairs} | corpus.dropped_src
-    return dict(sorted(sentences.items()))
 
 
 def _annotate_and_write(sentences: dict, linker: LinkerParams, profile: NormProfile, resolver,
@@ -289,11 +279,7 @@ def cmd_align_apply(args) -> int:
 
 
 def cmd_symmetrize(args) -> int:
-    fwd = align.read_pharaoh(args.fwd)
-    rev = align.read_pharaoh(args.rev)
-    if len(fwd) != len(rev):
-        raise LengthMismatch(f"{args.fwd} has {len(fwd)} rows but {args.rev} has {len(rev)}")
-    _symmetrize_and_write(fwd, rev, args.heuristic, args.out)
+    _symmetrize_and_write(args.fwd, args.rev, args.heuristic, args.out)
     return 0
 
 
@@ -511,30 +497,29 @@ def cmd_pipeline_run(args) -> int:
         stage = "align"
         # the reverse direction runs in a child while this process aligns the
         # forward one and then, as it reads no alignment, runs the link stage;
-        # numpy is imported first, so the child shares it
+        # numpy is imported first, so the child shares it. Each later stage
+        # reads the links back from the files written before it, as its
+        # subcommand does
         import numpy  # noqa: F401
         fwd_paths = artifact("align/model.fwd.tsv"), artifact("align/fwd.align")
         rev_paths = artifact("align/model.rev.tsv"), artifact("align/rev.align")
-        with _forked(f"{align.REVERSE} alignment", _align_reverse, corpus, cfg.aligner,
-                     *rev_paths) as rev:
-            fwd_links, history = _align_direction(corpus, cfg.aligner, align.FORWARD, *fwd_paths)
-            _log_perplexity(history)
+        with _forked(f"{align.REVERSE} alignment", _align_direction, corpus, cfg.aligner,
+                     align.REVERSE, *rev_paths) as rev:
+            _log_perplexity(_align_direction(corpus, cfg.aligner, align.FORWARD, *fwd_paths))
 
             stage = "link"
             hypernyms = cfg.linker.hypernyms
             resolver = link.OfflineHypernyms.from_tsv(hypernyms) if hypernyms else None
             by_line = _annotate_and_write(
-                _corpus_sources(corpus), cfg.linker, cfg.profile, resolver,
+                _read_sources(cfg.src, cfg.profile), cfg.linker, cfg.profile, resolver,
                 artifact("link/annotations.jsonl"),
             )
 
             stage = "align"
             _log_perplexity(rev())
-        sym = _symmetrize_and_write(
-            fwd_links, align.read_pharaoh(rev_paths[1]), cfg.aligner.heuristic,
-            artifact("align/sym.align"),
-        )
-        del fwd_links  # the later stages read only the symmetrized links
+        sym_path = artifact("align/sym.align")
+        _symmetrize_and_write(fwd_paths[1], rev_paths[1], cfg.aligner.heuristic, sym_path)
+        sym = align.read_pharaoh(sym_path)
 
         stage = "lexicon"
         table = _build_and_save_table(corpus, sym, cfg.min_count, artifact("lexicon/table.tsv"))

@@ -183,6 +183,8 @@ def load_config(path) -> PipelineConfig:
         if not isinstance(tg["methods"], list):
             raise ConfigError(f"tagging.methods: expected a list, got {tg['methods']!r}")
         cfg.methods = [parse_method(m) for m in tg["methods"]]
+        if repeated := [m.value for k, m in enumerate(cfg.methods) if m in cfg.methods[:k]]:
+            raise ConfigError(f"tagging.methods: method {repeated[0]!r} is listed more than once")
 
     for key, value in (("src", cfg.src), ("tgt", cfg.tgt)):
         if not os.path.exists(value):

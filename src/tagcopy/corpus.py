@@ -12,7 +12,7 @@ import random
 import sys
 import unicodedata
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InsufficientData, InvalidParams, LineCountMismatch, MalformedFile
 
@@ -69,9 +69,6 @@ class SentencePair:
 class ParallelCorpus:
     pairs: list[SentencePair]
     dropped_count: int = 0
-    # the normalized source of each dropped pair whose source side is not
-    # empty, by line_no: a stage that reads the source alone still sees it
-    dropped_src: dict[int, TokenSeq] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -124,8 +121,9 @@ def read_parallel(src_path, tgt_path, profile: NormProfile = NormProfile()) -> P
 
     Line i of each file becomes pair i. Pairs where either side normalizes
     to nothing are dropped (crawled corpora contain them) and counted in
-    ``dropped_count``, and a dropped pair's source, if not empty, is kept
-    in ``dropped_src``; surviving pairs keep their original line numbers.
+    ``dropped_count``; nothing else of a dropped pair is kept, so a stage
+    that reads the source alone (the link stage) reads the file itself.
+    Surviving pairs keep their original line numbers.
     """
     src_lines = read_lines(src_path)
     tgt_lines = read_lines(tgt_path)
@@ -135,17 +133,14 @@ def read_parallel(src_path, tgt_path, profile: NormProfile = NormProfile()) -> P
         )
     pairs = []
     dropped = 0
-    dropped_src = {}
     for i, (raw_src, raw_tgt) in enumerate(zip(src_lines, tgt_lines)):
         src = tokenize_normalize(raw_src, profile)
         tgt = tokenize_normalize(raw_tgt, profile)
         if not src or not tgt:
             dropped += 1
-            if src:
-                dropped_src[i] = src
             continue
         pairs.append(SentencePair(src, tgt, i))
-    return ParallelCorpus(pairs, dropped, dropped_src)
+    return ParallelCorpus(pairs, dropped)
 
 
 def write_parallel(corpus: ParallelCorpus, src_path, tgt_path) -> None:

@@ -130,11 +130,14 @@ def mentions_from_response(payload: dict, sentence: TokenSeq) -> list[EntityMent
     A mention whose character boundaries do not coincide with token
     boundaries is dropped with a warning (spans must stay faithful to the
     linker, never expanded). Overlapping mentions keep the earlier, longer
-    one. A missing resource list means no mentions.
+    one. A missing resource list means no mentions. A resource whose
+    ``@surfaceForm`` is not the joined text at its ``@offset`` raises
+    MalformedResponse, as does one of the wrong types.
     """
     resources = payload.get("Resources") or []
     if not isinstance(resources, list):
         raise MalformedResponse("'Resources' is not a list")
+    text = " ".join(sentence)
     spans = token_char_spans(sentence)
     start_of = {s: k for k, (s, _) in enumerate(spans)}
     end_of = {e: k for k, (_, e) in enumerate(spans)}
@@ -149,6 +152,8 @@ def mentions_from_response(payload: dict, sentence: TokenSeq) -> list[EntityMent
                     and isinstance(offset, str) and offset.isdecimal()):
                 raise TypeError("@URI and @surfaceForm must be strings, @offset digits")
             offset = int(offset)
+            if not text.startswith(surface, offset):
+                raise ValueError("@surfaceForm is not the text at @offset")
         except (TypeError, KeyError, ValueError) as exc:
             raise MalformedResponse(f"bad resource record: {res!r}") from exc
         end_char = offset + len(surface)

@@ -380,6 +380,12 @@ class TestPersistence:
         path.write_bytes(data)
         assert list(read_pharaoh(path)) == [{(0, 0), (1, 1)}, {(2, 2)}]
 
+    def test_pharaoh_writes_an_iterator_as_its_list(self, tmp_path):
+        sets = [{(0, 0), (2, 1)}, set(), {(2, 1), (5, 5)}]
+        write_pharaoh(sets, tmp_path / "list.align")
+        write_pharaoh((set(links) for links in sets), tmp_path / "once.align")
+        assert (tmp_path / "once.align").read_bytes() == (tmp_path / "list.align").read_bytes()
+
     def test_pharaoh_is_sorted(self, tmp_path):
         write_pharaoh([{(2, 1), (0, 0), (1, 5)}], tmp_path / "a.align")
         assert (tmp_path / "a.align").read_text(encoding="utf-8") == "0-0 1-5 2-1\n"
@@ -407,6 +413,14 @@ class TestPersistence:
         # a lone "\r" ends no line: it stays inside its field
         ("direction\tsrc-tgt\ntension\t4.0\np0\t0.08\na\tx\t0.5\rb\ty\t0.5\n", "m.tsv:4: neither"),
         ("tension\t4.0\rp0\t0.08\na\tb\t0.5\n", "m.tsv:3: end of file before a 'tension' header"),
+        # a number is written as repr writes a finite float >= 0, which
+        # float() alone reads more loosely
+        ("tension\t4_0\np0\t0.08\n", "m.tsv:1: neither"),
+        ("tension\t4.0\np0\t 0.08 \n", "m.tsv:2: neither"),
+        ("tension\t4.0\np0\t0.08\na\tb\t0.1_2\n", "m.tsv:3: neither"),
+        ("tension\t4.0\np0\t0.08\na\tb\t0.5\na\tc\t-0.0\n", "m.tsv:4: neither"),
+        ("tension\t4.0\np0\t0.08\na\tb\t0.5\na\tc\t0.5\na\td\t+0.5\n", "m.tsv:5: neither"),
+        ("tension\t4.0\np0\t0.08\na\tb\t1e999\n", "m.tsv:3: neither"),
     ])
     def test_malformed_model_names_path_and_line(self, tmp_path, dump, where):
         path = tmp_path / "m.tsv"

@@ -1371,15 +1371,35 @@ class TestCollector:
 
 
 class TestStageParity:
-    def test_pipeline_run_normalizes_the_source_once(self, tmp_path, toy_dir, monkeypatch):
-        # the link stage annotates the lines read_parallel normalized
-        def again(*args):
-            raise AssertionError("the source is read a second time")
+    def test_pipeline_run_reads_each_stage_input_back(self, tmp_path, toy_dir, monkeypatch):
+        # as its subcommands do: the link stage reads the source file, and
+        # symmetrization, the lexicon and the tag stage read the link files;
+        # the symmetrized sets are written as they are made, from no list
+        read, sources, written = [], [], {}
+        read_pharaoh, write_pharaoh = align.read_pharaoh, align.write_pharaoh
+        read_sources = cli._read_sources
 
-        monkeypatch.setattr(cli, "read_lines", again)
-        monkeypatch.setattr(cli, "tokenize_normalize", again)
+        def reading(path):
+            read.append(Path(path).name)
+            return read_pharaoh(path)
+
+        def writing(link_sets, path):
+            written[Path(path).name] = iter(link_sets) is link_sets
+            write_pharaoh(link_sets, path)
+
+        def sourcing(path, profile):
+            sources.append(path)
+            return read_sources(path, profile)
+
+        monkeypatch.setattr(align, "read_pharaoh", reading)
+        monkeypatch.setattr(align, "write_pharaoh", writing)
+        monkeypatch.setattr(cli, "_read_sources", sourcing)
         config = write_config(tmp_path / "config.yaml", toy_dir, tmp_path / "run")
         assert cli.main(["pipeline-run", "--config", str(config)]) == 0
+        assert read == ["fwd.align", "rev.align", "sym.align"]
+        assert sources == [str(toy_dir / "src.en")]
+        # the reverse direction is written in the forked child
+        assert written == {"fwd.align": False, "sym.align": True}
 
     def test_subcommands_match_pipeline_run(self, tmp_path, toy_dir):
         # the subcommand chain and pipeline-run share one implementation per
@@ -1547,6 +1567,15 @@ class TestConfig:
         )
         with pytest.raises(ConfigError, match="shiny"):
             load_config(config)
+
+    def test_a_repeated_method_exits_2(self, tmp_path, toy_dir, capsys):
+        # methods are case-insensitive, so "Tag" repeats "tag"
+        config = write_config(tmp_path / "c.yaml", toy_dir, tmp_path / "w",
+                              tagging={"methods": ["tag", "Tag", "hypa"]})
+        assert cli.main(["pipeline-run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "error: tagging.methods: method 'tag' is listed more than once" in err
+        assert not (tmp_path / "w").exists()
 
     def test_eval_section_is_unknown(self, tmp_path, toy_dir):
         config = write_config(

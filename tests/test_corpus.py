@@ -110,15 +110,6 @@ class TestReadParallel:
         assert corpus.dropped_count == 1
         assert [p.line_no for p in corpus.pairs] == [0, 2]
 
-    def test_a_dropped_pair_keeps_its_source(self, tmp_path):
-        (tmp_path / "a").write_text("X y\nZ\n\nw\n", encoding="utf-8")
-        (tmp_path / "b").write_text("1\n\n3\n \n", encoding="utf-8")
-        corpus = read_parallel(tmp_path / "a", tmp_path / "b")
-        assert [p.line_no for p in corpus.pairs] == [0]
-        assert corpus.dropped_count == 3
-        # normalized, and only where the source side is not empty
-        assert corpus.dropped_src == {1: ["z"], 3: ["w"]}
-
     def test_write_read_round_trip(self, tmp_path, toy_corpus):
         write_parallel(toy_corpus, tmp_path / "s", tmp_path / "t")
         again = read_parallel(tmp_path / "s", tmp_path / "t")

@@ -194,6 +194,10 @@ class TestResponseParsing:
             res = {"@URI": "u", "@surfaceForm": "b", "@offset": offset}
             with pytest.raises(MalformedResponse):
                 mentions_from_response({"Resources": [res]}, ["a", "b"])
+        # a surface form that is not the text at its offset
+        with pytest.raises(MalformedResponse):
+            res = {"@URI": "u", "@surfaceForm": "zz", "@offset": "0"}
+            mentions_from_response({"Resources": [res]}, ["ab", "cd"])
         assert mentions_from_response(
             {"Resources": [{"@URI": "u", "@surfaceForm": "b", "@offset": "2"}]}, ["a", "b"]
         )[0].surface == ["b"]
