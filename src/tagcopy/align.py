@@ -49,7 +49,7 @@ from copy import copy
 from dataclasses import dataclass, field
 from itertools import count
 
-from .corpus import LineRows, ParallelCorpus, SentencePair, read_lines
+from .corpus import LineRows, ParallelCorpus, SentencePair, numbered_lines, read_lines
 from .errors import (
     EmptyCorpus,
     EmptyPair,
@@ -632,30 +632,26 @@ def load_model(path) -> AlignModel:
     emit_seen: dict[str, int] = defaultdict(count().__next__)
     rows, cols, values = array("i"), array("i"), array("d")
     n = 0
-    # a line ends at a newline only, as in read_records
-    with open(path, encoding="utf-8", newline="\n") as dump:
-        try:
-            for n, line in enumerate(dump, 1):
-                fields = line.removesuffix("\n").removesuffix("\r").split("\t")
-                if len(fields) == 3:
-                    e, f, p = fields
-                    p = _dump_float(p)
-                    if not p < math.inf:  # too large: float() reads 1e999 as inf
-                        raise ValueError
-                    rows.append(cond_seen[e])
-                    cols.append(emit_seen[f])
-                    values.append(p)
-                elif len(fields) == 2:
-                    header[fields[0]] = _MODEL_HEADER[fields[0]](fields[1])
-                elif line.strip():
+    try:
+        for n, line in numbered_lines(path):
+            fields = line.split("\t")
+            if len(fields) == 3:
+                e, f, p = fields
+                p = _dump_float(p)
+                if not p < math.inf:  # too large: float() reads 1e999 as inf
                     raise ValueError
-        except UnicodeDecodeError as exc:
-            raise MalformedFile(f"{path}: not UTF-8 text ({exc.reason})") from None
-        except (ValueError, KeyError, InvalidParams):
-            raise MalformedFile(
-                f"{path}:{n}: neither an e<TAB>f<TAB>prob row with a finite prob >= 0 nor "
-                f"a valid direction, tension or p0 header: {line!r}"
-            ) from None
+                rows.append(cond_seen[e])
+                cols.append(emit_seen[f])
+                values.append(p)
+            elif len(fields) == 2:
+                header[fields[0]] = _MODEL_HEADER[fields[0]](fields[1])
+            elif line.strip():
+                raise ValueError
+    except (ValueError, KeyError, InvalidParams):
+        raise MalformedFile(
+            f"{path}:{n}: neither an e<TAB>f<TAB>prob row with a finite prob >= 0 nor "
+            f"a valid direction, tension or p0 header: {line!r}"
+        ) from None
     if missing := [k for k in ("tension", "p0") if k not in header]:
         raise MalformedFile(f"{path}:{n + 1}: end of file before a {missing[0]!r} header line")
     import numpy as np

@@ -707,10 +707,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
         return args.func(args)
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -77,14 +77,17 @@ def _get(section: dict, key: str, default):
     """The value at the last part of the dotted ``key``, converted to the
     type of ``default`` (str where that is None), or ``default`` if absent.
     Only a lossless conversion is made: a bool field takes only a YAML
-    boolean (``bool("false")`` is true), a number field no boolean
-    (``int(True)`` is 1), and an int field no fraction (``int(1.9)`` is 1)."""
+    boolean (``bool("false")`` is true) and no other field takes one
+    (``int(True)`` is 1), an int field takes no fraction (``int(1.9)`` is
+    1), and a text field only a string or a number (``str([1])`` is a
+    string)."""
     value = section.get(key.rpartition(".")[2], default)
     if value is default:  # absent, or null where null is the default
         return value
     kind = str if default is None else type(default)
-    lossless = (kind is str or (kind is bool) == (type(value) is bool)) and not (
-        kind is int and isinstance(value, float) and not value.is_integer())
+    lossless = ((kind is bool) == (type(value) is bool)
+                and not (kind is int and isinstance(value, float) and not value.is_integer())
+                and (kind is not str or isinstance(value, (str, int, float))))
     try:
         if lossless:
             return kind(value)
@@ -110,6 +113,9 @@ def parse_vocab(spec) -> TagVocabulary:
         missing = set(keys) - set(spec)
         if missing:
             raise ConfigError(f"tagging.vocab: missing key(s) {sorted(missing)}")
+        for key in spec:
+            if key not in keys:
+                raise ConfigError(f"unknown key: tagging.vocab.{key}")
         return TagVocabulary(*(_get(spec, f"tagging.vocab.{k}", "") for k in keys))
     raise ConfigError(f"tagging.vocab: expected 'special', 'plain', or a mapping, got {spec!r}")
 
@@ -171,7 +177,7 @@ def load_config(path) -> PipelineConfig:
 
     tg = _section(data, "tagging")
     cfg = PipelineConfig(
-        *(str(data[key]) for key in _REQUIRED),
+        *(_get(data, key, None) for key in _REQUIRED),
         seed=_get(data, "seed", PipelineConfig.seed),
         profile=_params(NormProfile, data),
         aligner=aligner,

@@ -74,23 +74,24 @@ class ParallelCorpus:
         return len(self.pairs)
 
 
-def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file, without their newlines: a line
+def numbered_lines(path):
+    """Each line of a UTF-8 text file as ``(n, line)``, n counting from 1,
+    read one at a time: the one reader of lines in the toolkit. A line
     breaks only at a newline, never at a lone carriage return, U+2028,
-    U+0085 or another break ``str.splitlines`` knows, and one carriage
-    return before the newline (a CRLF line end) is dropped. A file that is
-    not UTF-8 raises MalformedFile naming the path."""
+    U+0085 or another break ``str.splitlines`` knows; the newline and then
+    one carriage return before it (a CRLF line end) are dropped. A file
+    that is not UTF-8 raises MalformedFile naming the path."""
     with open(path, encoding="utf-8", newline="\n") as f:
         try:
-            text = f.read()
+            for n, line in enumerate(f, 1):
+                yield n, line.removesuffix("\n").removesuffix("\r")
         except UnicodeDecodeError as exc:
             raise MalformedFile(f"{path}: not UTF-8 text ({exc.reason})") from None
-    lines = text.split("\n")
-    if not lines[-1]:  # the text after the last newline
-        lines.pop()
-    if "\r" in text:
-        lines = [line.removesuffix("\r") for line in lines]
-    return lines
+
+
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, as :func:`numbered_lines` reads them."""
+    return [line for _, line in numbered_lines(path)]
 
 
 class LineRows(Sequence):
@@ -180,25 +181,21 @@ def read_records(path, parse, tsv: int = 0) -> list:
     ``path:line``; a file that is not UTF-8 raises it naming the path.
     """
     records = []
-    # a line ends at a newline only, as in read_lines
-    with open(path, encoding="utf-8", newline="\n") as f:
-        try:
-            for n, line in enumerate(f, 1):
-                if not line.strip():
-                    continue
-                if not tsv:
-                    records.append(parse(json.loads(line)))
-                    continue
-                fields = line.removesuffix("\n").removesuffix("\r").split("\t")
-                if len(fields) != tsv:
-                    raise MalformedFile(
-                        f"{path}:{n}: {len(fields)} tab-separated fields, expected {tsv}"
-                    )
-                records.append(parse(*fields))
-        except UnicodeDecodeError as exc:
-            raise MalformedFile(f"{path}: not UTF-8 text ({exc.reason})") from None
-        except (ValueError, KeyError, TypeError, InvalidParams, RecursionError) as exc:
-            raise MalformedFile(f"{path}:{n}: {type(exc).__name__}: {exc}") from None
+    try:
+        for n, line in numbered_lines(path):
+            if not line.strip():
+                continue
+            if not tsv:
+                records.append(parse(json.loads(line)))
+                continue
+            fields = line.split("\t")
+            if len(fields) != tsv:
+                raise MalformedFile(
+                    f"{path}:{n}: {len(fields)} tab-separated fields, expected {tsv}"
+                )
+            records.append(parse(*fields))
+    except (ValueError, KeyError, TypeError, InvalidParams, RecursionError) as exc:
+        raise MalformedFile(f"{path}:{n}: {type(exc).__name__}: {exc}") from None
     return records
 
 

@@ -176,7 +176,12 @@ def mentions_from_response(payload: dict, sentence: TokenSeq) -> list[EntityMent
     return kept
 
 
-def _default_transport(timeout: float):
+_RETRIES = 3
+_BACKOFF_S = 0.5
+_TIMEOUT_S = 10.0
+
+
+def _default_transport():
     # imported here: the HTTP stack is costly to load and only remote
     # annotation and lookup need it
     import requests
@@ -185,11 +190,42 @@ def _default_transport(timeout: float):
 
     def transport(url: str, params: dict | None):
         resp = session.get(
-            url, params=params, headers={"Accept": "application/json"}, timeout=timeout
+            url, params=params, headers={"Accept": "application/json"}, timeout=_TIMEOUT_S
         )
         return resp.status_code, resp.text
 
     return transport
+
+
+def _get_json(transport, url: str, params: dict | None, service: str) -> dict:
+    """One GET of ``url`` through ``transport``, its reply read as a JSON
+    object. A failed connection (``OSError``) or an HTTP 5xx is retried
+    ``_RETRIES`` times, the first after ``_BACKOFF_S`` seconds and each
+    next after twice the last delay; any other status, or the last retry
+    failing, raises HttpError naming ``service``, and a reply that is not
+    a JSON object MalformedResponse."""
+    delay = _BACKOFF_S
+    for attempt in range(_RETRIES + 1):
+        try:
+            status, body = transport(url, params)
+        except OSError as exc:
+            last = f"request failed: {exc}"
+        else:
+            if status == 200:
+                try:
+                    data = json.loads(body)
+                except ValueError as exc:
+                    raise MalformedResponse(f"invalid JSON from {service}: {exc}") from exc
+                if not isinstance(data, dict):
+                    raise MalformedResponse(f"{service} response is not a JSON object")
+                return data
+            last = f"HTTP {status}"
+            if status < 500:
+                break  # a client error will not improve on retry
+        if attempt < _RETRIES:
+            time.sleep(delay)
+            delay *= 2
+    raise HttpError(f"{service} request failed: {last}")
 
 
 class SpotlightClient:
@@ -200,57 +236,22 @@ class SpotlightClient:
     failed connection with an ``OSError`` (``requests.RequestException`` is
     one). The client caches nothing: each ``annotate`` of a non-empty
     sentence sends one request, so a caller with repeated text dedups it
-    first, as :func:`annotate_corpus` does. Failed requests are retried with
-    exponential backoff before raising HttpError.
+    first, as :func:`annotate_corpus` does. Requests are retried as
+    :func:`_get_json` says.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        confidence: float = 0.5,
-        *,
-        transport=None,
-        max_retries: int = 3,
-        backoff: float = 0.5,
-        timeout: float = 10.0,
-    ):
+    def __init__(self, endpoint: str, confidence: float = 0.5, *, transport=None):
         self.endpoint = endpoint.rstrip("/")
         self.confidence = confidence
-        self.max_retries = max_retries
-        self.backoff = backoff
-        self._transport = transport or _default_transport(timeout)
+        self._transport = transport or _default_transport()
 
     def annotate(self, sentence: TokenSeq) -> list[EntityMention]:
         text = " ".join(sentence)
         if not text:
             return []
-        return mentions_from_response(self._request(text), sentence)
-
-    def _request(self, text: str) -> dict:
         params = {"text": text, "confidence": str(self.confidence)}
-        delay = self.backoff
-        last = "no attempt made"
-        for attempt in range(self.max_retries + 1):
-            try:
-                status, body = self._transport(self.endpoint, params)
-            except OSError as exc:
-                last = f"request failed: {exc}"
-            else:
-                if status == 200:
-                    try:
-                        data = json.loads(body)
-                    except ValueError as exc:
-                        raise MalformedResponse(f"invalid JSON from annotator: {exc}") from exc
-                    if not isinstance(data, dict):
-                        raise MalformedResponse("annotator response is not a JSON object")
-                    return data
-                last = f"HTTP {status}"
-                if status < 500:
-                    break  # client errors will not improve on retry
-            if attempt < self.max_retries:
-                time.sleep(delay)
-                delay *= 2
-        raise HttpError(f"annotator request failed: {last}")
+        payload = _get_json(self._transport, self.endpoint, params, "annotator")
+        return mentions_from_response(payload, sentence)
 
 
 def annotate_corpus(client, sentences: list[TokenSeq], max_in_flight: int = 4):
@@ -310,25 +311,13 @@ class RemoteHypernyms:
     (longer, then lexicographically smaller, on ties).
     """
 
-    def __init__(self, data_base: str = "https://dbpedia.org/data", *, transport=None,
-                 timeout: float = 10.0):
+    def __init__(self, data_base: str = "https://dbpedia.org/data", *, transport=None):
         self.data_base = data_base.rstrip("/")
-        self._transport = transport or _default_transport(timeout)
+        self._transport = transport or _default_transport()
 
     def lookup(self, uri: str) -> str | None:
-        name = uri.rsplit("/", 1)[-1]
-        url = f"{self.data_base}/{name}.json"
-        try:
-            status, body = self._transport(url, None)
-        except OSError as exc:
-            raise HttpError(f"hypernym lookup failed: {exc}") from exc
-        if status != 200:
-            raise HttpError(f"hypernym lookup failed: HTTP {status}")
-        try:
-            data = json.loads(body)
-        except ValueError as exc:
-            raise MalformedResponse(f"invalid JSON from knowledge base: {exc}") from exc
-        facts = data.get(uri, {}) if isinstance(data, dict) else {}
+        url = f"{self.data_base}/{uri.rsplit('/', 1)[-1]}.json"
+        facts = _get_json(self._transport, url, None, "knowledge base").get(uri, {})
         try:
             gold = facts.get(GOLD_HYPERNYM)
             if gold:

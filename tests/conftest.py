@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from tagcopy import link
 from tagcopy.align import read_pharaoh
 from tagcopy.corpus import ParallelCorpus, SentencePair, read_parallel
 from tagcopy.lexicon import build_translation_table
@@ -10,6 +11,12 @@ from tagcopy.link import Gazetteer, annotate_gazetteer
 from tagcopy.template import ManifestEntry
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.fixture(autouse=True)
+def no_retry_backoff(monkeypatch):
+    """Remote requests retry at once, so that no test sleeps on a retry."""
+    monkeypatch.setattr(link, "_BACKOFF_S", 0)
 
 
 def make_corpus(pairs) -> ParallelCorpus:

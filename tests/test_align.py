@@ -428,6 +428,15 @@ class TestPersistence:
         with pytest.raises(MalformedFile, match=where):
             load_model(path)
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", ""], ids=["lf", "crlf", "none"])
+    def test_malformed_model_quotes_the_line_without_its_end(self, tmp_path, end):
+        path = tmp_path / "m.tsv"
+        path.write_text(f"tension\t4.0\np0\t0.08\na\tb\tx{end}", encoding="utf-8")
+        with pytest.raises(MalformedFile) as exc:
+            load_model(path)
+        assert str(exc.value).startswith(f"{path}:3: neither")
+        assert str(exc.value).endswith(": 'a\\tb\\tx'")
+
     def test_crlf_model_loads_as_its_lf_twin(self, tmp_path):
         model = train_alignment(make_corpus(SPEC_PAIRS), iterations=2, tension=4.0, p0=0.08)
         save_model(model, tmp_path / "lf.tsv")

@@ -439,6 +439,24 @@ class TestLinkCommands:
         assert filled[0][0].hypernym == ["state"]
         assert filled[1][0].hypernym is None
 
+    @pytest.mark.parametrize("reply, message", [
+        ((200, "[]"), "knowledge base response is not a JSON object"),
+        ((404, "gone"), "knowledge base request failed: HTTP 404"),
+    ], ids=["not-an-object", "http-error"])
+    def test_remote_hypernyms_bad_reply_exits_2(self, tmp_path, capsys, monkeypatch, reply,
+                                                 message):
+        urls = []
+        monkeypatch.setattr(link, "_default_transport",
+                            lambda: lambda url, params: urls.append(url) or reply)
+        bare = tmp_path / "bare.jsonl"
+        write_annotations(bare, [(0, [EntityMention(0, 1, ["m"], "http://kb/M", None)])])
+        out = tmp_path / "filled.jsonl"
+        assert cli.main(["link-hypernyms", "--annotations", str(bare), "--remote",
+                         "--data-url", "http://kb.invalid/data/", "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert urls == ["http://kb.invalid/data/M.json"]
+        assert not out.exists()
+
 
 class TestTagApply:
     def _tag(self, tmp_path, toy_dir, prepared, method, vocab="special"):
@@ -1500,7 +1518,7 @@ class TestStageParity:
                 for m in link.annotate_gazetteer(tokens, gaz)
             ]})
 
-        monkeypatch.setattr(link, "_default_transport", lambda timeout: endpoint)
+        monkeypatch.setattr(link, "_default_transport", lambda: endpoint)
         monkeypatch.delenv("LINKER_ENDPOINT", raising=False)
         url, hypernyms = "http://annotator.invalid/annotate", str(toy_dir / "hypernyms.tsv")
         config = write_config(
@@ -1619,6 +1637,22 @@ class TestConfig:
         )
         assert load_config(config).vocab.tokens() == {"1", "2", "3", "4"}
 
+    @pytest.mark.parametrize("vocab, message", [
+        ({"start": "<s>", "mid1": "<m1>", "mid2": "<m2>", "end": "<e>", "edn": "x"},
+         "unknown key: tagging.vocab.edn"),
+        ({"start": ["<s>"], "mid1": "<m1>", "mid2": "<m2>", "end": "<e>"},
+         "tagging.vocab.start: expected str"),
+        ({"start": "<s>", "mid1": "<m1>", "mid2": "<m2>", "end": False},
+         "tagging.vocab.end: expected str"),
+    ], ids=["unknown-key", "list", "bool"])
+    def test_vocab_mapping_is_refused_by_its_key(self, tmp_path, toy_dir, capsys, vocab,
+                                                 message):
+        config = write_config(tmp_path / "c.yaml", toy_dir, tmp_path / "w",
+                              tagging={"vocab": vocab})
+        assert cli.main(["pipeline-run", "--config", str(config)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "w").exists()
+
     def test_defaults(self, tmp_path, toy_dir):
         config = write_config(tmp_path / "c.yaml", toy_dir, tmp_path / "w")
         cfg = load_config(config)
@@ -1635,6 +1669,11 @@ class TestConfig:
         (None, "seed", True),
         ("tagging", "min_count", 2.5),
         ("aligner", "p0", True),
+        (None, "workdir", ["a", "b"]),
+        (None, "src", {"path": "src.en"}),
+        ("linker", "endpoint", ["http://x"]),
+        ("linker", "gazetteer", True),
+        ("aligner", "heuristic", ["union"]),
     ])
     def test_value_of_the_wrong_type_exits_2(self, tmp_path, toy_dir, capsys,
                                              section, name, value):

@@ -5,6 +5,7 @@ import pytest
 import requests
 
 from conftest import load_spotlight_fixture
+from tagcopy import link
 from tagcopy.corpus import NormProfile, tokenize_normalize
 from tagcopy.errors import HttpError, InvalidParams, MalformedFile, MalformedResponse
 from tagcopy.link import (
@@ -229,35 +230,43 @@ class TestClient:
         assert [m.uri for m in mentions] == ["http://dbpedia.org/resource/Myanmar"]
         assert transport.calls[0][1]["confidence"] == "0.5"
 
-    def test_retries_then_succeeds(self):
+    def test_retries_then_succeeds(self, monkeypatch):
+        monkeypatch.setattr(link, "_RETRIES", 3)
         payload = load_spotlight_fixture("resp_simple.json")
         transport = FakeTransport([
             requests.ConnectionError("down"),
             (503, "busy"),
             _ok(payload),
         ])
-        client = SpotlightClient(
-            "http://annotator/annotate", transport=transport, max_retries=3, backoff=0.001
-        )
+        client = SpotlightClient("http://annotator/annotate", transport=transport)
         mentions = client.annotate(payload["@text"].split())
         assert len(mentions) == 1
         assert len(transport.calls) == 3
 
-    def test_gives_up_after_bounded_retries(self):
+    def test_gives_up_after_bounded_retries(self, monkeypatch):
+        monkeypatch.setattr(link, "_RETRIES", 2)
         transport = FakeTransport([requests.ConnectionError("down")])
-        client = SpotlightClient(
-            "http://annotator/annotate", transport=transport, max_retries=2, backoff=0.001
-        )
+        client = SpotlightClient("http://annotator/annotate", transport=transport)
         with pytest.raises(HttpError):
             client.annotate(["word"])
         assert len(transport.calls) == 3  # initial try + 2 retries
 
     def test_client_error_fails_fast(self):
         transport = FakeTransport([(400, "bad request")])
-        client = SpotlightClient("http://annotator/annotate", transport=transport, backoff=0.001)
+        client = SpotlightClient("http://annotator/annotate", transport=transport)
         with pytest.raises(HttpError):
             client.annotate(["word"])
         assert len(transport.calls) == 1
+
+    def test_backoff_doubles_from_the_first_delay(self, monkeypatch):
+        monkeypatch.setattr(link, "_BACKOFF_S", 0.5)
+        delays = []
+        monkeypatch.setattr(link.time, "sleep", delays.append)
+        transport = FakeTransport([(503, "busy")])
+        with pytest.raises(HttpError, match="annotator request failed: HTTP 503"):
+            SpotlightClient("http://annotator/annotate", transport=transport).annotate(["w"])
+        assert delays == [0.5, 1.0, 2.0]
+        assert len(transport.calls) == 4  # initial try + _RETRIES
 
     def test_invalid_json_is_malformed(self):
         transport = FakeTransport([(200, "<html>not json</html>")])
@@ -402,7 +411,22 @@ class TestHypernyms:
 
     def test_remote_http_error(self):
         resolver = RemoteHypernyms(transport=FakeTransport([(500, "boom")]))
-        with pytest.raises(HttpError):
+        with pytest.raises(HttpError, match="knowledge base request failed: HTTP 500"):
+            resolver.lookup("http://dbpedia.org/resource/X")
+
+    @pytest.mark.parametrize("failure", [(503, "busy"), requests.ConnectionError("down")],
+                             ids=["503", "oserror"])
+    def test_remote_lookup_retries_as_the_annotator_does(self, failure):
+        uri = "http://dbpedia.org/resource/Myanmar"
+        state = {"type": "uri", "value": "http://dbpedia.org/resource/State"}
+        transport = FakeTransport([failure, _ok({uri: {link.GOLD_HYPERNYM: [state]}})])
+        assert RemoteHypernyms(transport=transport).lookup(uri) == "state"
+        assert [url for url, _ in transport.calls] == ["https://dbpedia.org/data/Myanmar.json"] * 2
+
+    @pytest.mark.parametrize("body", ["[]", '"text"', "null"])
+    def test_remote_reply_not_an_object_is_malformed(self, body):
+        resolver = RemoteHypernyms(transport=FakeTransport([(200, body)]))
+        with pytest.raises(MalformedResponse, match="knowledge base response is not a JSON"):
             resolver.lookup("http://dbpedia.org/resource/X")
 
 

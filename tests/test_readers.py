@@ -4,12 +4,14 @@ readers return what their writers were given."""
 
 import json
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dict_aligner import dict_model
+from tagcopy import corpus
 from tagcopy.align import (
     FORWARD,
     NULL_WORD,
@@ -238,6 +240,37 @@ def test_not_utf8_names_path(tmp_path, reader):
     path.write_bytes(b"\xff\xfe\n")
     with pytest.raises(MalformedFile, match=re.escape(f"{path}: not UTF-8")):
         reader(path)
+
+
+# one well-formed file per reader
+VALID_TEXT = {
+    "lines": "a b\nc\n",
+    "pharaoh": "0-0 1-1\n2-2\n",
+    "model": "tension\t4.0\np0\t0.08\na\tb\t0.5\n",
+    "table": "a\tb\t1\t0.5\nc\td\t2\t1.0\n",
+    "annotations": _record_line("annotations") * 2,
+    "manifest": _record_line("manifest") * 2,
+    "gazetteer": "new york\tkb:NY\tcity\nx\tkb:X\t\n",
+    "hypernyms": "kb:A\tcity\nkb:B\tport city\n",
+}
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_every_reader_reads_through_numbered_lines_once(tmp_path, monkeypatch, reader):
+    path = tmp_path / "input"
+    path.write_text(VALID_TEXT[reader], encoding="utf-8")
+    calls, original = [], corpus.numbered_lines
+
+    def numbered_lines(p):
+        calls.append(p)
+        yield from original(p)
+
+    # every module that took the function by name gets the wrapped one
+    for module in [m for name, m in sys.modules.items() if name.startswith("tagcopy")]:
+        if getattr(module, "numbered_lines", None) is original:
+            monkeypatch.setattr(module, "numbered_lines", numbered_lines)
+    READERS[reader](path)
+    assert calls == [path]
 
 
 def test_lenient_rows_still_load(tmp_path):
