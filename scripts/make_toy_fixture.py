@@ -15,6 +15,11 @@ import random
 import sys
 from pathlib import Path
 
+# the package's writer: UTF-8 with LF line ends on every platform, so the
+# fixture comes out byte for byte the same wherever it is made
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from tagcopy.corpus import write_lines  # noqa: E402
+
 SEED = 20240817
 
 DET = ["the", "a"]
@@ -114,45 +119,35 @@ def main():
     pos = dict(POS)
     pos.update({w: "PROPN" for w in entity_words})
 
-    with open(outdir / "src.en", "w", encoding="utf-8") as f:
-        for s in sentences:
-            f.write(" ".join(s) + "\n")
-    with open(outdir / "tgt.zz", "w", encoding="utf-8") as f:
-        for s in sentences:
-            f.write(" ".join(w[::-1] for w in s) + "\n")
-    with open(outdir / "gold.align", "w", encoding="utf-8") as f:
-        for s in sentences:
-            f.write(" ".join(f"{i}-{i}" for i in range(len(s))) + "\n")
-    with open(outdir / "pos.en", "w", encoding="utf-8") as f:
-        for s in sentences:
-            f.write(" ".join(pos[w] for w in s) + "\n")
+    write_lines(outdir / "src.en", (" ".join(s) for s in sentences))
+    write_lines(outdir / "tgt.zz", (" ".join(w[::-1] for w in s) for s in sentences))
+    write_lines(outdir / "gold.align",
+                (" ".join(f"{i}-{i}" for i in range(len(s))) for s in sentences))
+    write_lines(outdir / "pos.en", (" ".join(pos[w] for w in s) for s in sentences))
 
-    with open(outdir / "gazetteer.tsv", "w", encoding="utf-8") as f:
-        for surface, uri, label in ENTITIES + [NO_HYPERNYM_ENTITY]:
-            f.write(f"{' '.join(surface)}\t{uri}\t{label}\n")
-    with open(outdir / "hypernyms.tsv", "w", encoding="utf-8") as f:
-        for _, uri, label in ENTITIES:
-            f.write(f"{uri}\t{label}\n")
+    gazetteer = ENTITIES + [NO_HYPERNYM_ENTITY]
+    write_lines(outdir / "gazetteer.tsv",
+                (f"{' '.join(surface)}\t{uri}\t{label}" for surface, uri, label in gazetteer))
+    write_lines(outdir / "hypernyms.tsv", (f"{uri}\t{label}" for _, uri, label in ENTITIES))
 
-    with open(outdir / "config.yaml", "w", encoding="utf-8") as f:
-        f.write(
-            "src: tests/fixtures/toy/src.en\n"
-            "tgt: tests/fixtures/toy/tgt.zz\n"
-            "workdir: out/toy\n"
-            "seed: 13\n"
-            "aligner:\n"
-            "  iterations: 5\n"
-            "  tension: 4.0\n"
-            "  p0: 0.08\n"
-            "  heuristic: grow-diag-final-and\n"
-            "linker:\n"
-            "  mode: gazetteer\n"
-            "  gazetteer: tests/fixtures/toy/gazetteer.tsv\n"
-            "  hypernyms: tests/fixtures/toy/hypernyms.tsv\n"
-            "tagging:\n"
-            "  methods: [baseline, tag, add, trans, transa, transr, hypa]\n"
-            "  vocab: special\n"
-        )
+    write_lines(outdir / "config.yaml", [
+        "src: tests/fixtures/toy/src.en",
+        "tgt: tests/fixtures/toy/tgt.zz",
+        "workdir: out/toy",
+        "seed: 13",
+        "aligner:",
+        "  iterations: 5",
+        "  tension: 4.0",
+        "  p0: 0.08",
+        "  heuristic: grow-diag-final-and",
+        "linker:",
+        "  mode: gazetteer",
+        "  gazetteer: tests/fixtures/toy/gazetteer.tsv",
+        "  hypernyms: tests/fixtures/toy/hypernyms.tsv",
+        "tagging:",
+        "  methods: [baseline, tag, add, trans, transa, transr, hypa]",
+        "  vocab: special",
+    ])
 
     n_entity = sum(
         1 for s in sentences if any(w in entity_words for w in s)

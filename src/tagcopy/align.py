@@ -49,7 +49,7 @@ from copy import copy
 from dataclasses import dataclass, field
 from itertools import count
 
-from .corpus import LineRows, ParallelCorpus, SentencePair, numbered_lines, read_lines
+from .corpus import LineRows, ParallelCorpus, SentencePair, numbered_lines, read_lines, write_lines
 from .errors import (
     EmptyCorpus,
     EmptyPair,
@@ -68,7 +68,7 @@ REVERSE = "tgt-src"
 
 HEURISTICS = ("intersection", "union", "grow-diag-final-and")
 
-# entries of a model dump formatted per write
+# entries of a model dump formatted into one string and written at once
 _SAVE_ENTRIES = 1 << 12
 
 # prune_model keeps an entry at or above this fraction of its row's maximum
@@ -547,16 +547,17 @@ def write_pharaoh(link_sets, path) -> None:
     # (i, j) -> "i-j": as read_pharaoh converts each distinct link once, each
     # is formatted once and the lines are joined at C speed
     known: dict[tuple[int, int], str] = {}
-    with open(path, "w", encoding="utf-8") as f:
-        for links in link_sets:
-            ordered = sorted(links)
-            try:
-                line = " ".join(map(known.__getitem__, ordered))
-            except KeyError:
-                known.update((link, f"{link[0]}-{link[1]}") for link in ordered
-                             if link not in known)
-                line = " ".join(map(known.__getitem__, ordered))
-            f.write(line + "\n")
+
+    def line(links) -> str:
+        ordered = sorted(links)
+        try:
+            return " ".join(map(known.__getitem__, ordered))
+        except KeyError:
+            known.update((link, f"{link[0]}-{link[1]}") for link in ordered
+                         if link not in known)
+            return " ".join(map(known.__getitem__, ordered))
+
+    write_lines(path, map(line, link_sets))
 
 
 def _link(part: str, path, line: int) -> tuple[int, int]:
@@ -597,18 +598,20 @@ def save_model(model: AlignModel, path) -> None:
     values."""
     theta = model.theta
     cond, emit = theta.cond, theta.emit
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"direction\t{model.direction}\n")
-        f.write(f"tension\t{model.tension!r}\n")
-        f.write(f"p0\t{model.p0!r}\n")
+
+    def lines():
+        yield f"direction\t{model.direction}"
+        yield f"tension\t{model.tension!r}"
+        yield f"p0\t{model.p0!r}"
         for lo in range(0, len(theta.pair_keys), _SAVE_ENTRIES):
             rows, cols = divmod(theta.pair_keys[lo:lo + _SAVE_ENTRIES], len(emit))
-            f.write("\n".join(map("\t".join, zip(
+            yield "\n".join(map("\t".join, zip(
                 map(cond.__getitem__, rows.tolist()),
                 map(emit.__getitem__, cols.tolist()),
                 map(repr, theta.probs[lo:lo + _SAVE_ENTRIES].tolist()),
-            ))))
-            f.write("\n")
+            )))
+
+    write_lines(path, lines())
 
 
 def _sorted_ranks(first_seen: dict[str, int]):

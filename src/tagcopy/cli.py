@@ -36,6 +36,7 @@ from .corpus import (
     read_records,
     split_holdout,
     tokenize_normalize,
+    write_lines,
     write_parallel,
 )
 from .errors import (ConfigError, CountMismatch, EmptyCorpus, LengthMismatch, MalformedFile,
@@ -61,9 +62,7 @@ def read_token_lines(path) -> LineRows:
 
 
 def write_token_lines(rows, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for row in rows:
-            f.write(" ".join(row) + "\n")
+    write_lines(path, map(" ".join, rows))
 
 
 @contextmanager
@@ -475,8 +474,6 @@ def cmd_pipeline_run(args) -> int:
     cfg = load_config(args.config)
     if args.workdir:
         cfg.workdir = args.workdir
-    if args.seed is not None:
-        cfg.seed = args.seed
     if args.method:
         cfg.methods = [parse_method(args.method)]
     workdir = Path(cfg.workdir)
@@ -544,10 +541,8 @@ def cmd_pipeline_run(args) -> int:
         },
         "tag_stats": {m.value: stats for m in cfg.methods},
     }
-    manifest_path = workdir / "stage_manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True, ensure_ascii=False)
-        f.write("\n")
+    write_lines(workdir / "stage_manifest.json",
+                [json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False)])
     print(f"wrote {len(artifacts)} artifacts under {workdir}")
     return 0
 
@@ -689,7 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline-run", help="align -> lexicon -> link -> tag from a config")
     p.add_argument("--config", required=True)
     p.add_argument("--workdir")
-    p.add_argument("--seed", type=int)
     p.add_argument("--method")
     p.set_defaults(func=cmd_pipeline_run)
 

@@ -94,6 +94,21 @@ def read_lines(path) -> list[str]:
     return [line for _, line in numbered_lines(path)]
 
 
+def open_for_writing(path):
+    """``path`` opened for UTF-8 text with LF line ends on every platform:
+    the one place a file is opened for writing (see :func:`write_lines`)."""
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def write_lines(path, lines) -> None:
+    """Write each str of ``lines`` and a newline to ``path``, iterating
+    ``lines`` once: the one writer of text files, as :func:`numbered_lines`
+    is the one reader."""
+    with open_for_writing(path) as f:
+        for line in lines:
+            f.write(line + "\n")
+
+
 class LineRows(Sequence):
     """A read-only sequence over ``lines`` whose item k is ``row(lines[k])``,
     built each time it is read: only the lines are held, and a row lives
@@ -146,10 +161,8 @@ def read_parallel(src_path, tgt_path, profile: NormProfile = NormProfile()) -> P
 
 def write_parallel(corpus: ParallelCorpus, src_path, tgt_path) -> None:
     """Write both sides back out, one space-joined sentence per line."""
-    with open(src_path, "w", encoding="utf-8") as fs, open(tgt_path, "w", encoding="utf-8") as ft:
-        for pair in corpus.pairs:
-            fs.write(" ".join(pair.src) + "\n")
-            ft.write(" ".join(pair.tgt) + "\n")
+    write_lines(src_path, (" ".join(pair.src) for pair in corpus.pairs))
+    write_lines(tgt_path, (" ".join(pair.tgt) for pair in corpus.pairs))
 
 
 def split_holdout(corpus: ParallelCorpus, n_valid: int, n_test: int, seed: int):

@@ -5,7 +5,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .align import check_links
-from .corpus import ParallelCorpus, TokenSeq, read_records
+from .corpus import ParallelCorpus, TokenSeq, read_records, write_lines
 from .errors import LengthMismatch
 
 
@@ -97,10 +97,8 @@ def translate_tokens_strict(table: TranslationTable, tokens: TokenSeq) -> TokenS
 
 def save_table(table: TranslationTable, path) -> None:
     """TSV dump: src, tgt, link count, probability (6 decimals), sorted by src."""
-    with open(path, "w", encoding="utf-8") as f:
-        for src_word in sorted(table.entries):
-            e = table.entries[src_word]
-            f.write(f"{src_word}\t{e.target}\t{e.count}\t{e.prob:.6f}\n")
+    write_lines(path, (f"{src}\t{e.target}\t{e.count}\t{e.prob:.6f}"
+                       for src, e in sorted(table.entries.items())))
 
 
 def _table_row(src, tgt, count, prob):

@@ -19,9 +19,10 @@ import operator
 import re
 import time
 from dataclasses import dataclass, replace
+from urllib.parse import quote
 
 from .corpus import (NormProfile, TokenSeq, check_json_values, read_records,
-                     tokenize_normalize)
+                     tokenize_normalize, write_lines)
 from .errors import HttpError, InvalidParams, MalformedResponse
 
 log = logging.getLogger(__name__)
@@ -316,7 +317,11 @@ class RemoteHypernyms:
         self._transport = transport or _default_transport()
 
     def lookup(self, uri: str) -> str | None:
-        url = f"{self.data_base}/{uri.rsplit('/', 1)[-1]}.json"
+        # the name as one path segment of the data URL: "?", "#", spaces and
+        # non-ASCII are escaped; what else RFC 3986 allows in a segment is
+        # kept, and so is "%", so a name escaped already is not escaped twice
+        name = quote(uri.rsplit("/", 1)[-1], safe="%!$&'()*+,;=:@")
+        url = f"{self.data_base}/{name}.json"
         facts = _get_json(self._transport, url, None, "knowledge base").get(uri, {})
         try:
             gold = facts.get(GOLD_HYPERNYM)
@@ -366,10 +371,8 @@ def fill_hypernyms(mention_lists, resolver) -> int:
 
 
 def write_annotations(path, annotated: list[tuple[int, list[EntityMention]]]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for line_no, mentions in annotated:
-            record = {"line_no": line_no, "mentions": [vars(m) for m in mentions]}
-            f.write(json.dumps(record, ensure_ascii=False) + "\n")
+    write_lines(path, (json.dumps({"line_no": n, "mentions": [vars(m) for m in mentions]},
+                                  ensure_ascii=False) for n, mentions in annotated))
 
 
 def _mention(fields: dict) -> EntityMention:

@@ -13,7 +13,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import repeat
 
-from .corpus import TokenSeq
+from .corpus import TokenSeq, write_lines
 from .align import check_links
 from .errors import CountMismatch, EmptyCorpus, EmptyInput, InvalidParams, MalformedFile
 from .template import METHODS, ManifestEntry, TemplateMethod, extract_regions, split_region
@@ -111,14 +111,13 @@ def format_bleu(result: BleuScore) -> str:
 
 
 def write_bleu_tsv(result: BleuScore, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        names = "\t".join(f"p{n}" for n in range(1, len(result.precisions) + 1))
-        f.write(f"score\t{names}\tbp\thyp_len\tref_len\n")
-        precs = "\t".join(f"{100.0 * p:.2f}" for p in result.precisions)
-        f.write(
-            f"{result.score:.2f}\t{precs}\t{result.brevity_penalty:.4f}"
-            f"\t{result.hyp_len}\t{result.ref_len}\n"
-        )
+    names = "\t".join(f"p{n}" for n in range(1, len(result.precisions) + 1))
+    precs = "\t".join(f"{100.0 * p:.2f}" for p in result.precisions)
+    write_lines(path, [
+        f"score\t{names}\tbp\thyp_len\tref_len",
+        f"{result.score:.2f}\t{precs}\t{result.brevity_penalty:.4f}"
+        f"\t{result.hyp_len}\t{result.ref_len}",
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +211,16 @@ def format_copy_report(report: CopyReport) -> str:
 
 
 def write_copy_tsv(report: CopyReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("kind\tname\tcount\ttotal\tpct\n")
-        for c in ("entity", "translation", "hypernym"):
-            if c in report.matched:
-                pct = 100.0 * report.accuracy(c)
-                f.write(f"component\t{c}\t{report.matched[c]}\t{report.total}\t{pct:.2f}\n")
-        for name, value in (("correct", report.correct), ("no_tag", report.no_tag),
-                            ("wrong_tag", report.wrong_tag)):
-            pct = 100.0 * value / report.total if report.total else 0.0
-            f.write(f"breakdown\t{name}\t{value}\t{report.total}\t{pct:.2f}\n")
+    lines = ["kind\tname\tcount\ttotal\tpct"]
+    for c in ("entity", "translation", "hypernym"):
+        if c in report.matched:
+            pct = 100.0 * report.accuracy(c)
+            lines.append(f"component\t{c}\t{report.matched[c]}\t{report.total}\t{pct:.2f}")
+    for name, value in (("correct", report.correct), ("no_tag", report.no_tag),
+                        ("wrong_tag", report.wrong_tag)):
+        pct = 100.0 * value / report.total if report.total else 0.0
+        lines.append(f"breakdown\t{name}\t{value}\t{report.total}\t{pct:.2f}")
+    write_lines(path, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +331,11 @@ def pos_accuracy(
 
 
 def write_pos_tsv(report: PosReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("pos\tposition\tsys_acc\tbase_acc\tdiff\tp\tn\n")
-        for r in report.rows:
-            f.write(
-                f"{r.pos}\t{r.position}\t{100.0 * r.sys_acc:.2f}\t{100.0 * r.base_acc:.2f}"
-                f"\t{100.0 * r.diff:+.2f}\t{r.p_value:.4f}\t{r.n}\n"
-            )
+    write_lines(path, [
+        "pos\tposition\tsys_acc\tbase_acc\tdiff\tp\tn",
+        *(f"{r.pos}\t{r.position}\t{100.0 * r.sys_acc:.2f}\t{100.0 * r.base_acc:.2f}"
+          f"\t{100.0 * r.diff:+.2f}\t{r.p_value:.4f}\t{r.n}" for r in report.rows),
+    ])
 
 
 def format_pos_report(report: PosReport) -> str:

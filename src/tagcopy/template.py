@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .align import check_links
-from .corpus import ParallelCorpus, TokenSeq, check_json_values, read_records
+from .corpus import ParallelCorpus, TokenSeq, check_json_values, open_for_writing, read_records
 from .errors import InvalidParams, LengthMismatch, MalformedFile, MissingComponent
 from .lexicon import TranslationTable, translate_tokens, translate_tokens_strict
 from .link import EntityMention, project_entity_span
@@ -418,7 +418,7 @@ def write_tagged(
         files = [
             # the method, its three files, and its records' text between
             # their line_no and their bundles
-            (method, [stack.enter_context(open(path, "w", encoding="utf-8")) for path in paths],
+            (method, [stack.enter_context(open_for_writing(path)) for path in paths],
              f', "method": {_to_json(method.value)}, "tag_vocab": {vocab_json}, "bundles": ')
             for method, paths in outputs.items()
         ]

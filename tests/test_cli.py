@@ -1,3 +1,4 @@
+import builtins
 import gc
 import hashlib
 import inspect
@@ -331,6 +332,20 @@ def mutation(draw, data: bytes) -> bytes:
     return data[:at] + piece + data[at + (len(piece) if kind == "replace" else 0):]
 
 
+def toy_inputs(toy_dir, run):
+    """Every "@name" input of FUZZ_ARGV, from the toy fixture and the
+    pipeline-run in ``run`` (which tagged at least with method tag)."""
+    return {
+        "src": toy_dir / "src.en", "tgt": toy_dir / "tgt.zz", "gold": toy_dir / "gold.align",
+        "pos": toy_dir / "pos.en", "gazetteer": toy_dir / "gazetteer.tsv",
+        "hypernyms": toy_dir / "hypernyms.tsv", "model": run / "align/model.fwd.tsv",
+        "fwd": run / "align/fwd.align", "rev": run / "align/rev.align",
+        "sym": run / "align/sym.align", "table": run / "lexicon/table.tsv",
+        "annotations": run / "link/annotations.jsonl", "tagged": run / "tagged/tag.tgt",
+        "manifest": run / "tagged/tag.manifest.jsonl",
+    }
+
+
 class TestMutatedInput:
     @pytest.fixture(scope="class")
     def toy_run(self, tmp_path_factory, toy_dir):
@@ -339,16 +354,7 @@ class TestMutatedInput:
         config = write_config(root / "config.yaml", toy_dir, root / "run",
                               tagging={"methods": ["tag"], "vocab": "special"})
         assert cli.main(["pipeline-run", "--config", str(config)]) == 0
-        run = root / "run"
-        return {
-            "src": toy_dir / "src.en", "tgt": toy_dir / "tgt.zz", "gold": toy_dir / "gold.align",
-            "pos": toy_dir / "pos.en", "gazetteer": toy_dir / "gazetteer.tsv",
-            "hypernyms": toy_dir / "hypernyms.tsv", "model": run / "align/model.fwd.tsv",
-            "fwd": run / "align/fwd.align", "rev": run / "align/rev.align",
-            "sym": run / "align/sym.align", "table": run / "lexicon/table.tsv",
-            "annotations": run / "link/annotations.jsonl", "tagged": run / "tagged/tag.tgt",
-            "manifest": run / "tagged/tag.manifest.jsonl",
-        }
+        return toy_inputs(toy_dir, root / "run")
 
     @pytest.mark.parametrize("command, slot", FUZZ_INPUTS)
     @settings(max_examples=30, deadline=None,
@@ -370,6 +376,53 @@ class TestMutatedInput:
                 arg = work / arg[1:]
             argv.append(str(arg))
         assert cli.main(argv) in (0, 2)
+
+
+class TestOneWriter:
+    # every subcommand that writes a file, on inputs of the toy run
+    WRITING_ARGV = {
+        "split": "--src @src --tgt @tgt --n-valid 5 --n-test 5 --outdir >split",
+        "align-train": "--src @src --tgt @tgt --iterations 1 --model-out >model.tsv",
+        **{command: FUZZ_ARGV[command] for command in (
+            "align-apply", "symmetrize", "lexicon-build", "link-annotate", "link-hypernyms",
+            "tag-apply", "detag")},
+        "eval-bleu": FUZZ_ARGV["eval-bleu"] + " --tsv >bleu.tsv",
+        "eval-copy": FUZZ_ARGV["eval-copy"] + " --tsv >copy.tsv",
+        "eval-pos": FUZZ_ARGV["eval-pos"] + " --out >pos.tsv",
+    }
+
+    def test_every_file_written_has_lf_line_ends(self, tmp_path, toy_dir, monkeypatch):
+        # each file pipeline-run and the subcommands leave is opened once,
+        # as UTF-8 with newline="\n": without it a CRLF platform writes
+        # "\r\n" after every line
+        config = write_config(tmp_path / "config.yaml", toy_dir, tmp_path / "run")
+        opened = []
+        real_open = builtins.open
+
+        def spying(file, mode="r", *args, **kwargs):
+            if set(mode) & set("wax+") and Path(file).is_relative_to(tmp_path):
+                bound = inspect.signature(real_open).bind(file, mode, *args, **kwargs)
+                bound.apply_defaults()
+                opened.append((Path(file), (mode, bound.arguments["encoding"],
+                                            bound.arguments["newline"])))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.delattr(os, "fork")  # the reverse direction is written in this process
+        monkeypatch.setattr(builtins, "open", spying)
+        assert cli.main(["pipeline-run", "--config", str(config)]) == 0
+        inputs = toy_inputs(toy_dir, tmp_path / "run")
+        for command, argv in self.WRITING_ARGV.items():
+            work = tmp_path / command
+            work.mkdir()
+            args = [str(inputs[arg[1:]]) if arg[0] == "@" else
+                    str(work / arg[1:]) if arg[0] == ">" else arg for arg in argv.split()]
+            assert cli.main([command, *args]) == 0, command
+        monkeypatch.undo()
+
+        written = sorted(p for p in tmp_path.rglob("*") if p.is_file() and p != config)
+        assert sorted(path for path, _ in opened) == written
+        assert len(written) == 48  # 28 artifacts, the stage manifest and 19 subcommand outputs
+        assert {how for _, how in opened} == {("w", "utf-8", "\n")}
 
 
 class TestLinkCommands:

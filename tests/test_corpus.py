@@ -1,12 +1,15 @@
+import ast
 import random
 import re
 import sys
 import unicodedata
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tagcopy
 from tagcopy.corpus import (
     NormProfile,
     read_lines,
@@ -14,6 +17,7 @@ from tagcopy.corpus import (
     read_records,
     split_holdout,
     tokenize_normalize,
+    write_lines,
     write_parallel,
 )
 from tagcopy.errors import InsufficientData, LineCountMismatch, MalformedFile
@@ -162,6 +166,72 @@ class TestReadLines:
         (tmp_path / "a").write_bytes(b"ok\n\xff\n")
         with pytest.raises(MalformedFile, match="^" + re.escape(f"{tmp_path / 'a'}: not UTF-8")):
             read_lines(tmp_path / "a")
+
+
+class TestWriteLines:
+    def test_each_line_then_one_lf(self, tmp_path):
+        lines = ["a b", "", "café", "x\u2028y"]
+        write_lines(tmp_path / "a", iter(lines))
+        assert (tmp_path / "a").read_bytes() == "a b\n\ncafé\nx\u2028y\n".encode()
+        assert read_lines(tmp_path / "a") == lines
+
+    def test_no_lines_is_an_empty_file(self, tmp_path):
+        write_lines(tmp_path / "a", [])
+        assert (tmp_path / "a").read_bytes() == b""
+
+
+def _opens_for_writing(path: Path):
+    """(function, line) of each call in ``path`` that may open a file for
+    writing: an ``open`` whose mode holds w, a, x or +, or is not a string
+    literal (a mode the guard cannot read counts as writing), and any
+    ``write_text`` or ``write_bytes``."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                # path.open(mode) takes the mode first; open, io.open and os.open second
+                method = isinstance(func, ast.Attribute) and not (
+                    isinstance(func.value, ast.Name) and func.value.id in ("io", "os", "codecs"))
+                modes = [*child.args[0 if method else 1:][:1],
+                         *(k.value for k in child.keywords if k.arg in ("mode", "flags"))]
+                mode = modes[0] if modes else ast.Constant("r")
+                writes = not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                              and not set(mode.value) & set("wax+"))
+                if name == "open" and writes or name in ("write_text", "write_bytes"):
+                    found.append((function, child.lineno))
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_only_the_writer_home_opens_files_for_writing():
+    # the UTF-8 and LF rules of every file the toolkit writes live in
+    # corpus.open_for_writing; an open() for writing anywhere else would
+    # write the platform's line end
+    package = Path(tagcopy.__file__).parent
+    found = {path.name: [function for function, _ in _opens_for_writing(path)]
+             for path in sorted(package.glob("*.py"))}
+    assert {name: functions for name, functions in found.items() if functions} == {
+        "corpus.py": ["open_for_writing"]}
+
+
+@pytest.mark.parametrize("code, writes", [
+    ("open(p)", False), ("open(p, 'rb')", False), ("open(p, encoding='utf-8')", False),
+    ("p.open()", False), ("p.open('r')", False),
+    ("open(p, 'w')", True), ("open(p, mode='a')", True), ("open(p, 'r+b')", True),
+    ("io.open(p, 'x')", True), ("p.open('w')", True), ("open(p, m)", True),
+    ("os.open(p, os.O_WRONLY)", True), ("p.write_text(s)", True), ("p.write_bytes(b)", True),
+])
+def test_the_writer_guard_sees_each_way_to_write(tmp_path, code, writes):
+    (tmp_path / "m.py").write_text(f"def f():\n    {code}\n", encoding="utf-8")
+    assert _opens_for_writing(tmp_path / "m.py") == ([("f", 2)] if writes else [])
 
 
 def test_records_break_only_at_newlines(tmp_path):

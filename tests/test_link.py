@@ -1,5 +1,6 @@
 import json
 import logging
+import urllib.parse
 
 import pytest
 import requests
@@ -422,6 +423,25 @@ class TestHypernyms:
         transport = FakeTransport([failure, _ok({uri: {link.GOLD_HYPERNYM: [state]}})])
         assert RemoteHypernyms(transport=transport).lookup(uri) == "state"
         assert [url for url, _ in transport.calls] == ["https://dbpedia.org/data/Myanmar.json"] * 2
+
+    @pytest.mark.parametrize("name, fetched", [
+        ("Barack_Obama", "Barack_Obama"),
+        ("Python_(programming_language)", "Python_(programming_language)"),
+        ("Who?", "Who%3F"),
+        ("C#", "C%23"),
+        ("Caf%C3%A9", "Caf%C3%A9"),
+        ("Café", "Caf%C3%A9"),
+    ])
+    def test_remote_lookup_escapes_the_resource_name(self, name, fetched):
+        # "?" and "#" would end the path of the data URL; an escape already
+        # in the name is sent as it is
+        uri = f"http://dbpedia.org/resource/{name}"
+        transport = FakeTransport([_ok({})])
+        assert RemoteHypernyms(transport=transport).lookup(uri) is None
+        [(url, _)] = transport.calls
+        assert url == f"https://dbpedia.org/data/{fetched}.json"
+        parts = urllib.parse.urlsplit(url)
+        assert (parts.path, parts.query, parts.fragment) == (f"/data/{fetched}.json", "", "")
 
     @pytest.mark.parametrize("body", ["[]", '"text"', "null"])
     def test_remote_reply_not_an_object_is_malformed(self, body):
